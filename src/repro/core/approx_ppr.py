@@ -26,7 +26,7 @@ from ..errors import ParameterError
 from ..graph import Graph
 from ..linalg import BlockSparseOperator, bksvd, randomized_svd
 from ..parallel import parallel_map, payload
-from ..ppr.chunks import iter_chunks, resolve_chunk_size
+from ..ppr.chunks import iter_chunks
 from ..rng import ensure_rng
 
 __all__ = ["ApproxPPRConfig", "PPRFactorState", "approx_ppr_embeddings",
@@ -45,8 +45,9 @@ class ApproxPPRConfig:
     iterations) is evaluated over row chunks, optionally across worker
     processes. The chunked engine is bit-identical to the dense-path
     arithmetic for the sparse products and deterministic given ``seed``
-    regardless of ``workers``; the default (``chunk_size=None,
-    workers=1``) runs the original single-pass path unchanged.
+    regardless of ``workers``. The power iterations always run over
+    row chunks (``chunk_size=None`` is the default grid); by default
+    the SVD sketch multiplies the whole adjacency matrix at once.
     """
 
     k_prime: int
@@ -111,10 +112,9 @@ def _factorize_adjacency(graph: Graph, config: ApproxPPRConfig,
     return u[:, :config.k_prime], s[:config.k_prime], vt[:config.k_prime].T
 
 
-def _power_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    p, x, x1, decay = payload()
-    start, stop = bounds
-    return decay * (p[start:stop] @ x) + x1[start:stop]
+def _power_chunk(index: int) -> np.ndarray:
+    p_rows, x1_rows, x, decay = payload()
+    return decay * (p_rows[index] @ x) + x1_rows[index]
 
 
 def _chunked_power_iterations(p, x1: np.ndarray,
@@ -126,14 +126,16 @@ def _chunked_power_iterations(p, x1: np.ndarray,
     product is bit-identical to the one-shot product for any grid and
     worker count.
     """
-    n = x1.shape[0]
-    size = resolve_chunk_size(n, config.chunk_size)
-    bounds = list(iter_chunks(n, size))
+    bounds = list(iter_chunks(x1.shape[0], config.chunk_size))
+    # every iteration multiplies the same row blocks: slice them once
+    p_rows = [p[start:stop] for start, stop in bounds]
+    x1_rows = [x1[start:stop] for start, stop in bounds]
     decay = 1.0 - config.alpha
     x = x1.copy()
     for _ in range(2, config.ell1 + 1):
-        blocks = parallel_map(_power_chunk, bounds, workers=config.workers,
-                              payload=(p, x, x1, decay))
+        blocks = parallel_map(_power_chunk, range(len(bounds)),
+                              workers=config.workers,
+                              payload=(p_rows, x1_rows, x, decay))
         x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
     return x
 
@@ -189,12 +191,7 @@ def approx_ppr_state(graph: Graph, config: ApproxPPRConfig,
     p = graph.transition_matrix()
     with obs.trace("approx_ppr.propagation", ell1=config.ell1,
                    chunked=config.chunked):
-        if config.chunked:
-            x_iter = _chunked_power_iterations(p, x1, config)
-        else:
-            x_iter = x1.copy()
-            for _ in range(2, config.ell1 + 1):
-                x_iter = (1.0 - config.alpha) * (p @ x_iter) + x1
+        x_iter = _chunked_power_iterations(p, x1, config)
     return PPRFactorState(x1=x1, x_iter=x_iter, y=y, v_scaled=v_scaled)
 
 

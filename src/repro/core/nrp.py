@@ -40,12 +40,11 @@ class NRPConfig:
 
     ``chunk_size`` and ``workers`` select the chunked fit engine: the
     ApproxPPR stage runs over row-chunked sparse blocks and the
-    reweighting sweeps use the chunk-precomputed fast path, with chunks
-    optionally fanned out to ``workers`` processes. The default
-    (``chunk_size=None, workers=1``) is the original single-pass path,
-    bit-for-bit. The chunked engine is deterministic given ``seed``
-    regardless of ``workers`` (chunk boundaries depend only on
-    ``chunk_size``) and tracks the default path to ``<= 1e-8``.
+    reweighting precompute is split into row chunks, with chunks
+    optionally fanned out to ``workers`` processes. A fit is
+    deterministic given ``seed`` and ``chunk_size`` regardless of
+    ``workers`` (chunk boundaries depend only on ``chunk_size``), and
+    different chunk grids agree to ``<= 1e-8``.
     """
 
     dim: int = 128
@@ -172,16 +171,8 @@ class NRP(Embedder):
                 x, y, w_fwd, w_bwd, d_out, d_in, cfg.lam))
         with obs.trace("nrp.reweighting", epochs=cfg.ell2):
             for _ in range(cfg.ell2):
-                w_bwd = update_backward_weights(
-                    x, y, w_fwd, w_bwd, d_out, d_in, cfg.lam,
-                    mode=cfg.update_mode, exact_b1=cfg.exact_b1,
-                    seed=sweep_rng, chunk_size=cfg.chunk_size,
-                    workers=cfg.workers)
-                w_fwd = update_forward_weights(
-                    x, y, w_fwd, w_bwd, d_out, d_in, cfg.lam,
-                    mode=cfg.update_mode, exact_b1=cfg.exact_b1,
-                    seed=sweep_rng, chunk_size=cfg.chunk_size,
-                    workers=cfg.workers)
+                w_fwd, w_bwd = self._epoch(x, y, w_fwd, w_bwd, d_out, d_in,
+                                           sweep_rng)
                 if self.track_objective:
                     self.objective_history_.append(reweighting_objective(
                         x, y, w_fwd, w_bwd, d_out, d_in, cfg.lam))
@@ -192,6 +183,20 @@ class NRP(Embedder):
         self.w_bwd_ = w_bwd
         self.forward_ = w_fwd[:, None] * x       # Lines 8-9
         self.backward_ = w_bwd[:, None] * y
+
+    def _epoch(self, x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
+               w_bwd: np.ndarray, d_out: np.ndarray, d_in: np.ndarray,
+               sweep_rng) -> tuple[np.ndarray, np.ndarray]:
+        """One backward-then-forward sweep pair; new ``(w_fwd, w_bwd)``."""
+        cfg = self.config
+        options = dict(mode=cfg.update_mode, exact_b1=cfg.exact_b1,
+                       seed=sweep_rng, chunk_size=cfg.chunk_size,
+                       workers=cfg.workers)
+        w_bwd = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in,
+                                        cfg.lam, **options)
+        w_fwd = update_forward_weights(x, y, w_fwd, w_bwd, d_out, d_in,
+                                       cfg.lam, **options)
+        return w_fwd, w_bwd
 
     def warm_refit(self, graph: Graph, *, x: np.ndarray | None = None,
                    y: np.ndarray | None = None, epochs: int | None = None,
@@ -251,16 +256,8 @@ class NRP(Embedder):
         sweep_rng = spawn_rngs(cfg.seed, 2)[1]
         with obs.trace("nrp.warm_refit", epochs=epochs):
             for _ in range(epochs):
-                w_bwd = update_backward_weights(
-                    x, y, w_fwd, w_bwd, d_out, d_in, cfg.lam,
-                    mode=cfg.update_mode, exact_b1=cfg.exact_b1,
-                    seed=sweep_rng, chunk_size=cfg.chunk_size,
-                    workers=cfg.workers)
-                w_fwd = update_forward_weights(
-                    x, y, w_fwd, w_bwd, d_out, d_in, cfg.lam,
-                    mode=cfg.update_mode, exact_b1=cfg.exact_b1,
-                    seed=sweep_rng, chunk_size=cfg.chunk_size,
-                    workers=cfg.workers)
+                w_fwd, w_bwd = self._epoch(x, y, w_fwd, w_bwd, d_out, d_in,
+                                           sweep_rng)
         drift = float((np.abs(w_fwd - prev_fwd).sum()
                        + np.abs(w_bwd - prev_bwd).sum())
                       / max(prev_norm, 1e-300))

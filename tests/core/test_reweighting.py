@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (backward_aggregates, forward_aggregates,
+from repro.core import (ApproxPPRConfig, approx_ppr_embeddings,
+                        backward_aggregates, forward_aggregates,
                         naive_backward_terms, naive_forward_terms,
                         reweighting_objective, update_backward_weights,
                         update_forward_weights)
-from repro.core.reweighting import _solve
+from repro.core.reweighting import SWEEP_BLOCK
 from repro.errors import DimensionError, ParameterError
+from repro.graph import from_edges
 
 
 def _fast_backward_terms(x, y, w_fwd, w_bwd, d_out, d_in, v):
@@ -222,12 +224,134 @@ def test_update_rejects_bad_shapes():
     w = np.ones(3)
     with pytest.raises(DimensionError):
         update_backward_weights(x, y, w, w, w, w, 0.1)
+    # degree vectors of the wrong length, in either sweep
+    for update in (update_backward_weights, update_forward_weights):
+        for bad in (np.ones(2), np.ones(4)):
+            with pytest.raises(DimensionError, match="degree"):
+                update(x, x, w, w, bad, w, 0.1)
+            with pytest.raises(DimensionError, match="degree"):
+                update(x, x, w, w, w, bad, 0.1)
 
 
-def test_solve_guards_zero_denominator():
-    assert _solve(5.0, 0.0, 0.25) == 0.25
-    assert _solve(-5.0, 1.0, 0.25) == 0.25
-    assert _solve(5.0, 2.0, 0.25) == 2.5
+# ----------------------------------------------------------------------
+# The blocked sweep against a per-node Algorithm-2 loop
+# ----------------------------------------------------------------------
+
+def _oracle_backward(x, y, w_fwd, w_bwd, d_out, d_in, lam, exact_b1, seed):
+    """Algorithm 2 node by node, exactly as the paper states it."""
+    n, k_prime = x.shape
+    floor = 1.0 / n
+    agg = backward_aggregates(x, y, w_fwd, w_bwd, d_out)
+    xy = np.einsum("ij,ij->i", x, y)
+    wf2 = w_fwd * w_fwd
+    out = w_bwd.astype(np.float64).copy()
+    rho1, rho2 = agg.rho1.copy(), agg.rho2.copy()
+    for v in np.random.default_rng(seed).permutation(n):
+        yv, xv = y[v], x[v]
+        lam_yv = agg.lam_mat @ yv
+        y_lam_y = float(yv @ lam_yv)
+        a1 = float(agg.xi @ yv)
+        proj = float(agg.chi @ yv) - w_fwd[v] * xy[v]
+        a2 = d_in[v] * proj
+        a3 = (float(rho1 @ lam_yv) - out[v] * y_lam_y - float(rho2 @ yv)
+              + out[v] * wf2[v] * xy[v] ** 2)
+        if exact_b1:
+            b1 = y_lam_y - wf2[v] * xy[v] ** 2
+        else:
+            b1 = 0.5 * k_prime * (float((yv * yv) @ agg.phi)
+                                  - wf2[v] * float(((yv * xv) ** 2).sum()))
+        denom = b1 + proj * proj + lam
+        new = floor if denom <= 1e-300 else max(floor,
+                                                (a1 + a2 - a3) / denom)
+        rho1 += (new - out[v]) * yv                              # Eq. (11)
+        rho2 += (new - out[v]) * wf2[v] * xy[v] * xv
+        out[v] = new
+    return out
+
+
+def _random_case(n, k, lam, seed, scale=0.3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k)) * scale
+    y = rng.standard_normal((n, k)) * scale
+    w_fwd = rng.uniform(0.5, 3.0, n)
+    w_bwd = rng.uniform(0.5, 3.0, n)
+    d_out = rng.integers(1, 10, n).astype(np.float64)
+    d_in = rng.integers(1, 10, n).astype(np.float64)
+    return x, y, w_fwd, w_bwd, d_out, d_in, lam
+
+
+def _single_node_case():
+    """n = 1: the update is d_out w_fwd (X.Y) / lambda, above the floor."""
+    x = np.array([[1.0, 2.0, 0.5, -1.0]])
+    return x, 0.5 * x, np.array([2.0]), np.ones(1), np.array([3.0]), \
+        np.array([3.0]), 0.5
+
+
+def _zero_rows_case():
+    """Every third Y row is zero and lambda = 0: exact zero denominators."""
+    x, y, w_fwd, w_bwd, d_out, d_in, _ = _random_case(70, 5, 0.0, 4)
+    y[::3] = 0.0
+    return x, y, w_fwd, w_bwd, d_out, d_in, 0.0
+
+
+def _dangling_case():
+    """Base factors of a directed graph whose last 5 nodes have no
+    out-arcs, with the Line-4 initialization ``w_fwd = max(d_out, 1/n)``."""
+    rng = np.random.default_rng(5)
+    n = 90
+    g = from_edges(n, rng.integers(0, n - 5, 400), rng.integers(0, n, 400),
+                   directed=True)
+    x, y = approx_ppr_embeddings(g, ApproxPPRConfig(k_prime=6, seed=3))
+    d_out = g.out_degrees.astype(np.float64)
+    d_in = g.in_degrees.astype(np.float64)
+    assert np.any(d_out == 0)
+    return x, y, np.maximum(d_out, 1.0 / n), np.ones(n), d_out, d_in, 10.0
+
+
+ORACLE_CASES = {
+    "n_below_block": lambda: _random_case(SWEEP_BLOCK // 2 + 3, 5, 0.4, 1),
+    "n_not_block_multiple": lambda: _random_case(3 * SWEEP_BLOCK + 11, 6,
+                                                 0.4, 2),
+    "single_node": _single_node_case,
+    "many_clamped": lambda: _random_case(150, 6, 0.3, 6, scale=1.0),
+    "zero_denominators": _zero_rows_case,
+    "dangling_directed": _dangling_case,
+}
+
+
+@pytest.mark.parametrize("exact_b1", [False, True])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_sweep_matches_per_node_oracle(case, exact_b1):
+    x, y, w_fwd, w_bwd, d_out, d_in, lam = ORACLE_CASES[case]()
+    n = x.shape[0]
+    for seed in (0, 1):
+        expect = _oracle_backward(x, y, w_fwd, w_bwd, d_out, d_in, lam,
+                                  exact_b1, seed)
+        got = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, lam,
+                                      exact_b1=exact_b1, seed=seed)
+        np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0)
+        if case == "many_clamped":
+            assert np.mean(expect == 1.0 / n) >= 0.2
+        if case == "zero_denominators":
+            assert np.all(got[::3] == 1.0 / n)
+
+
+def test_forward_sweep_first_node_matches_naive_formula(random_embeddings):
+    """The first node a forward sweep visits sees the initial aggregates,
+    so its new weight is the Eq. (23) closed form, clamped."""
+    x, y, w_fwd, w_bwd, d_out, d_in = random_embeddings
+    n, lam = x.shape[0], 0.4
+    unclamped = 0
+    for seed in range(10):
+        fw = update_forward_weights(x, y, w_fwd, w_bwd, d_out, d_in, lam,
+                                    exact_b1=True, seed=seed)
+        u = np.random.default_rng(seed).permutation(n)[0]
+        a1, a2, a3, b1, b2 = naive_forward_terms(x, y, w_fwd, w_bwd,
+                                                 d_out, d_in, u)
+        expect = max(1.0 / n, (a1 + a2 - a3) / (b1 + b2 + lam))
+        assert fw[u] == pytest.approx(expect, rel=1e-10)
+        unclamped += expect > 1.0 / n
+    assert unclamped >= 3
 
 
 @given(st.integers(2, 12), st.integers(1, 5),

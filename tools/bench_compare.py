@@ -89,9 +89,10 @@ SPECS: dict[str, dict] = {
         ],
     },
     "fit_scaling.json": {
-        "context": ["dim", "edge_factor", "chunk_size", "workers"],
+        "context": ["dim", "edge_factor", "workers"],
         "metrics": [
-            ("rows.*.chunked_seconds", "lower", {"rel": 0.25}),
+            ("rows.*.default_seconds", "lower", {"rel": 0.25}),
+            ("rows.*.parallel_seconds", "lower", {"rel": 0.25}),
         ],
     },
 }
