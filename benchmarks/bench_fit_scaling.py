@@ -8,10 +8,13 @@ At several graph sizes it times
   reweighting precompute fanned out to four processes (capped at the
   usable cores).
 
-Alongside wall-clock it records the parity between the two embeddings
-(the engine's contract is <= 1e-8 max abs diff) and writes the whole
-trajectory to ``benchmarks/results/fit_scaling.json`` so CI can archive
-it. The final assert pins the parity.
+For the default fit it also records where the time went: the seconds
+of the ``approx_ppr.svd``, ``approx_ppr.propagation`` and
+``nrp.reweighting`` spans that :mod:`repro.obs` records inside
+``nrp.fit``. Alongside wall-clock it records the parity between the two
+embeddings (the engine's contract is <= 1e-8 max abs diff) and writes
+the whole trajectory to ``benchmarks/results/fit_scaling.json`` so CI
+can archive it. The final assert pins the parity.
 
 Runnable standalone (``python benchmarks/bench_fit_scaling.py``) or via
 pytest (marked ``slow``).
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import NRP
+from repro import NRP, obs
 from repro.bench import bench_scale, format_table
 from repro.graph import powerlaw_community
 from repro.parallel import available_cpus
@@ -43,14 +46,21 @@ EDGE_FACTOR = 5
 WORKERS = 4
 PARITY_TOL = 1e-8
 RESULTS_PATH = Path(__file__).parent / "results" / "fit_scaling.json"
+#: fit phases timed by repro.obs spans -> the fit_scaling.json row key
+PHASES = {"approx_ppr.svd": "svd_seconds",
+          "approx_ppr.propagation": "propagation_seconds",
+          "nrp.reweighting": "reweighting_seconds"}
 
 
 def _measure(num_nodes: int, seed: int = 0) -> dict:
     graph, _ = powerlaw_community(num_nodes, EDGE_FACTOR * num_nodes,
                                   num_communities=16, seed=seed)
-    start = time.perf_counter()
-    default_model = NRP(dim=DIM, seed=seed).fit(graph)
-    default_seconds = time.perf_counter() - start
+    with obs.capture(clear_after=True) as registry:
+        start = time.perf_counter()
+        default_model = NRP(dim=DIM, seed=seed).fit(graph)
+        default_seconds = time.perf_counter() - start
+        phases = {key: registry.get("span_seconds", {"name": name}).sum
+                  for name, key in PHASES.items()}
 
     start = time.perf_counter()
     parallel_model = NRP(dim=DIM, seed=seed, workers=WORKERS).fit(graph)
@@ -62,6 +72,7 @@ def _measure(num_nodes: int, seed: int = 0) -> dict:
                      - parallel_model.backward_).max()))
     return {"nodes": graph.num_nodes, "edges": graph.num_edges,
             "default_seconds": round(default_seconds, 3),
+            **{key: round(value, 3) for key, value in phases.items()},
             "parallel_seconds": round(parallel_seconds, 3),
             "speedup": round(default_seconds / parallel_seconds, 2),
             "max_abs_diff": max_diff}
@@ -78,10 +89,13 @@ def run_scaling(sizes=SIZES) -> list[dict]:
     title = (f"NRP.fit scaling: default vs workers={WORKERS} "
              f"(dim={DIM}, {available_cpus()} usable cores)")
     table = format_table(
-        ["nodes", "edges", "default fit (s)",
-         f"workers={WORKERS} fit (s)", "speedup", "max |diff|"],
+        ["nodes", "edges", "default fit (s)", "svd (s)", "propagation (s)",
+         "reweighting (s)", f"workers={WORKERS} fit (s)", "speedup",
+         "max |diff|"],
         [[f"{r['nodes']:,}", f"{r['edges']:,}",
-          f"{r['default_seconds']:.2f}", f"{r['parallel_seconds']:.2f}",
+          f"{r['default_seconds']:.2f}", f"{r['svd_seconds']:.2f}",
+          f"{r['propagation_seconds']:.2f}",
+          f"{r['reweighting_seconds']:.2f}", f"{r['parallel_seconds']:.2f}",
           f"{r['speedup']:.2f}x", f"{r['max_abs_diff']:.1e}"]
          for r in rows])
     report("fit_scaling", title + "\n" + table)

@@ -8,12 +8,30 @@ returns ``U, sigma, V`` with ``U diag(sigma) V^T ~= A`` and a
 
 The implementation follows Algorithm 2 of Musco & Musco:
 
-1. draw a Gaussian block ``Pi`` of ``k'`` columns,
-2. build the Krylov basis ``K = [A Pi, (A A^T) A Pi, ...]``
-   (each block QR-orthonormalized for numerical stability),
-3. orthonormalize ``K`` into ``Q``,
-4. eigendecompose the small matrix ``M = Q^T A A^T Q``,
-5. read off the top-``k'`` singular triplets.
+1. draw a Gaussian block ``Pi`` of ``k'`` columns and start the Krylov
+   basis ``Q`` with an orthonormal basis of ``A Pi``;
+2. grow ``Q`` one block at a time: the next block ``A (A^T Q_i)``
+   spans the next Krylov power ``(A A^T)^(i+1) A Pi`` modulo the blocks
+   before it. It is projected off the basis so far by block classical
+   Gram--Schmidt, applied twice, then Householder-QR'd and written into
+   a preallocated ``n x c`` basis, ``c = min(k' (q + 1), n, d)``. Every
+   ``A^T Q_i`` the recurrence forms is kept in a ``d x c`` array, so
+   ``A^T Q`` is complete when the basis is;
+3. when the Krylov space is exhausted (``rank(A) < c``, e.g. ``n <
+   k' (q + 1)``), a new block has columns that already lie in the span
+   of the basis: a column whose QR diagonal falls to ``1e-8`` of its
+   norm before projection is replaced by a Gaussian column from the same
+   generator and the block is projected again, so ``Q`` stays
+   orthonormal;
+4. Rayleigh--Ritz from the stored products: eigendecompose
+   ``M = Q^T A A^T Q = (A^T Q)^T (A^T Q)``;
+5. read off the top-``k'`` triplets: ``U = Q W``, ``sigma`` the square
+   roots of the eigenvalues, ``V = (A^T Q) W / sigma``, so ``A^T U = V
+   diag(sigma)`` without another product with ``A^T``.
+
+The memory guard ``max_krylov_cols`` never reduces the depth ``q``
+below 1, so the basis holds ``2 k'`` columns, more than the guard, when
+``k' > max_krylov_cols / 2``.
 """
 
 from __future__ import annotations
@@ -26,6 +44,10 @@ from ..errors import ParameterError
 from ..rng import ensure_rng
 
 __all__ = ["bksvd", "default_krylov_iterations"]
+
+#: A column whose QR diagonal is at most this fraction of its norm before
+#: projection lies in the span of the basis so far (to rounding).
+_LOST_COLUMN = 1e-8
 
 
 def default_krylov_iterations(num_rows: int, eps: float) -> int:
@@ -49,6 +71,43 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * signs, v * signs
 
 
+def _rayleigh_ritz(basis: np.ndarray, at_basis: np.ndarray, rank: int,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-``rank`` singular triplets of ``A`` restricted to ``basis``.
+
+    ``basis`` is an orthonormal ``Q`` and ``at_basis`` is ``A^T Q``;
+    ``M = Q^T A A^T Q`` is their Gram matrix, and ``V`` comes from the
+    stored ``A^T Q`` as well (``sigma <= 1e-12`` columns are not scaled).
+    """
+    eigvals, eigvecs = np.linalg.eigh(at_basis.T @ at_basis)
+    order = np.argsort(eigvals)[::-1][:rank]
+    top = eigvecs[:, order]
+    sigma = np.sqrt(np.maximum(eigvals[order], 0.0))
+    safe = np.where(sigma > 1e-12, sigma, 1.0)
+    u, v = _fix_signs(basis @ top, (at_basis @ top) / safe)
+    return u, sigma, v
+
+
+def _orthonormal_extension(block: np.ndarray, basis: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal columns spanning ``block`` modulo ``span(basis)``.
+
+    Block classical Gram--Schmidt twice, then Householder QR. Columns
+    that lie in the span of ``basis`` and the columns before them are
+    replaced by Gaussian columns, so the result always has full width.
+    """
+    norms = np.linalg.norm(block, axis=0)
+    while True:
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
+        q, r = np.linalg.qr(block)
+        lost = np.abs(np.diag(r)) <= _LOST_COLUMN * norms
+        if not lost.any():
+            return q
+        block[:, lost] = rng.standard_normal((block.shape[0], lost.sum()))
+        norms[lost] = np.linalg.norm(block[:, lost], axis=0)
+
+
 def bksvd(matrix, rank: int, *, eps: float = 0.2,
           num_iters: int | None = None, max_krylov_cols: int = 512,
           seed=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,55 +116,49 @@ def bksvd(matrix, rank: int, *, eps: float = 0.2,
     Parameters
     ----------
     matrix:
-        ``(n, d)`` array or scipy sparse matrix; only matvec products are
-        used, so sparse inputs are never densified.
+        ``(n, d)`` array or scipy sparse matrix; only matrix-block
+        products with it and its transpose are used, so sparse inputs
+        are never densified.
     rank:
         Number of singular triplets to return.
     eps:
         Relative spectral-norm error target; sets the default iteration
         count via :func:`default_krylov_iterations`.
     num_iters:
-        Explicit Krylov depth ``q`` (overrides ``eps``-derived default).
+        Explicit Krylov depth ``q >= 0`` (overrides the ``eps``-derived
+        default).
     max_krylov_cols:
         Memory guard: the Krylov basis has ``rank * (q + 1)`` columns;
-        ``q`` is reduced if the basis would exceed this many columns.
+        ``q`` is reduced (to no less than 1) if the basis would exceed
+        this many columns.
 
     Returns
     -------
     (U, sigma, V):
-        ``U`` is ``(n, rank)``, ``sigma`` descending ``(rank,)``,
-        ``V`` is ``(d, rank)``; ``U @ diag(sigma) @ V.T ~= matrix``.
+        ``U`` is ``(n, rank)`` with orthonormal columns, ``sigma``
+        descending ``(rank,)``, ``V`` is ``(d, rank)``;
+        ``U @ diag(sigma) @ V.T ~= matrix`` and
+        ``matrix.T @ U == V @ diag(sigma)`` up to rounding.
     """
     n, d = matrix.shape
     if rank < 1 or rank > min(n, d):
         raise ParameterError(f"rank={rank} out of range for shape {(n, d)}")
+    if num_iters is not None and num_iters < 0:
+        raise ParameterError(f"num_iters must be >= 0, got {num_iters!r}")
     rng = ensure_rng(seed)
     q = num_iters if num_iters is not None else default_krylov_iterations(n, eps)
     if rank * (q + 1) > max_krylov_cols:
         q = max(1, max_krylov_cols // rank - 1)
 
-    omega = rng.standard_normal((d, rank))
-    block = matrix @ omega
-    block, _ = np.linalg.qr(block)
-    krylov = [block]
-    for _ in range(q):
-        block = matrix @ (matrix.T @ block)
-        block, _ = np.linalg.qr(block)
-        krylov.append(block)
-    basis, _ = np.linalg.qr(np.hstack(krylov))
-
-    # M = Q^T (A A^T) Q computed as W W^T with W = Q^T A.
-    w = (matrix.T @ basis).T if hasattr(matrix, "T") else basis.T @ matrix
-    w = np.asarray(w)
-    small = w @ w.T
-    eigvals, eigvecs = np.linalg.eigh(small)
-    order = np.argsort(eigvals)[::-1][:rank]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    u = basis @ eigvecs[:, order]
-    sigma = np.sqrt(eigvals)
-
-    # Right singular vectors: V = A^T U Sigma^{-1} (guard tiny sigmas).
-    safe = np.where(sigma > 1e-12, sigma, 1.0)
-    v = np.asarray(matrix.T @ u) / safe
-    u, v = _fix_signs(u, v)
-    return u, sigma, v
+    cols = min(rank * (q + 1), n, d)
+    basis = np.empty((n, cols))
+    at_basis = np.empty((d, cols))
+    block = matrix @ rng.standard_normal((d, rank))
+    for start in range(0, cols, rank):
+        stop = min(start + rank, cols)
+        basis[:, start:stop] = _orthonormal_extension(
+            np.asarray(block)[:, :stop - start], basis[:, :start], rng)
+        at_basis[:, start:stop] = matrix.T @ basis[:, start:stop]
+        if stop < cols:
+            block = matrix @ at_basis[:, start:stop]
+    return _rayleigh_ritz(basis, at_basis, rank)

@@ -2,7 +2,7 @@
 
 Used as the cheaper alternative to :func:`repro.linalg.bksvd.bksvd` in the
 SVD-initialization ablation, and as the factorization backend of several
-baseline methods (NetSMF, STRAP).
+baseline methods (ProNE, NetMF, NetSMF, NetHiex, GA).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..rng import ensure_rng
-from .bksvd import _fix_signs
+from .bksvd import _rayleigh_ritz
 
 __all__ = ["randomized_svd"]
 
@@ -23,10 +23,16 @@ def randomized_svd(matrix, rank: int, *, oversample: int = 10,
 
     Cheaper than block-Krylov (one basis of ``rank + oversample`` columns)
     but with a weaker error guarantee; see Halko et al. for the analysis.
+    ``oversample`` and ``power_iters`` must be non-negative.
     """
     n, d = matrix.shape
     if rank < 1 or rank > min(n, d):
         raise ParameterError(f"rank={rank} out of range for shape {(n, d)}")
+    if oversample < 0:
+        raise ParameterError(f"oversample must be >= 0, got {oversample!r}")
+    if power_iters < 0:
+        raise ParameterError(
+            f"power_iters must be >= 0, got {power_iters!r}")
     rng = ensure_rng(seed)
     cols = min(rank + oversample, min(n, d))
     basis = matrix @ rng.standard_normal((d, cols))
@@ -34,15 +40,4 @@ def randomized_svd(matrix, rank: int, *, oversample: int = 10,
     for _ in range(power_iters):
         basis = matrix @ (matrix.T @ basis)
         basis, _ = np.linalg.qr(basis)
-
-    w = np.asarray((matrix.T @ basis)).T  # (cols, d)
-    small = w @ w.T
-    eigvals, eigvecs = np.linalg.eigh(small)
-    order = np.argsort(eigvals)[::-1][:rank]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    u = basis @ eigvecs[:, order]
-    sigma = np.sqrt(eigvals)
-    safe = np.where(sigma > 1e-12, sigma, 1.0)
-    v = np.asarray(matrix.T @ u) / safe
-    u, v = _fix_signs(u, v)
-    return u, sigma, v
+    return _rayleigh_ritz(basis, np.asarray(matrix.T @ basis), rank)

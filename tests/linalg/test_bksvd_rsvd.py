@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import ParameterError
+from repro.graph import figure1_graph, from_edges, powerlaw_community
 from repro.linalg import bksvd, default_krylov_iterations, randomized_svd
 
 
@@ -28,15 +29,30 @@ def test_bksvd_matches_exact_singular_values():
     np.testing.assert_allclose(s_approx, s_exact[:8], rtol=1e-3)
 
 
+def _community_adjacency(directed):
+    graph, _ = powerlaw_community(400, 1200, num_communities=4,
+                                  directed=directed, seed=1)
+    return graph.adjacency()
+
+
 def test_bksvd_spectral_error_bound():
-    """(1 + eps) sigma_{k+1} spectral bound of Musco & Musco."""
-    mat = _low_rank_matrix(100, 100, 20, 0.05, 4)
-    k, eps = 10, 0.2
-    u, s, v = bksvd(mat, k, eps=eps, seed=5)
-    _, s_exact, _ = np.linalg.svd(mat)
-    residual = mat - u @ np.diag(s) @ v.T
-    spectral = np.linalg.norm(residual, 2)
-    assert spectral <= (1 + eps) * s_exact[k] * 1.05   # 5% numerical slack
+    """(1 + eps) sigma_{k+1} spectral bound of Musco & Musco.
+
+    On the 400-node graphs k' (q + 1) = 128 < n: the basis is not all of
+    R^n, so BKSVD is not an exact SVD there.
+    """
+    eps = 0.2
+    cases = {"low_rank": (_low_rank_matrix(100, 100, 20, 0.05, 4), 10),
+             "undirected_graph": (_community_adjacency(False), 16),
+             "directed_graph": (_community_adjacency(True), 16)}
+    for name, (matrix, k) in cases.items():
+        u, s, v = bksvd(matrix, k, eps=eps, seed=5)
+        dense = matrix.toarray() if sp.issparse(matrix) else matrix
+        s_exact = np.linalg.svd(dense, compute_uv=False)
+        spectral = np.linalg.norm(dense - u @ np.diag(s) @ v.T, 2)
+        assert spectral <= (1 + eps) * s_exact[k], name
+        np.testing.assert_allclose(s, s_exact[:k], rtol=0,
+                                   atol=1e-6 * s_exact[k], err_msg=name)
 
 
 def test_bksvd_sparse_input(fig1):
@@ -75,12 +91,59 @@ def test_bksvd_memory_guard_reduces_depth():
     assert u.shape == (50, 8)
 
 
+def _star(num_nodes):
+    leaves = np.arange(1, num_nodes)
+    return from_edges(num_nodes, np.zeros_like(leaves), leaves,
+                      directed=False).adjacency()
+
+
+def _complete_bipartite(left, right):
+    src, dst = np.meshgrid(np.arange(left), left + np.arange(right),
+                           indexing="ij")
+    return from_edges(left + right, src.ravel(), dst.ravel(),
+                      directed=False).adjacency()
+
+
+EXHAUSTED_KRYLOV = {
+    "figure1_rank7": (lambda: figure1_graph().adjacency(), 4),
+    "star_rank2": (lambda: _star(300), 8),
+    "complete_bipartite_rank2": (lambda: _complete_bipartite(40, 60), 8),
+    "zero": (lambda: np.zeros((40, 40)), 5),
+    "rank3": (lambda: _low_rank_matrix(80, 70, 3, 0.0, 15), 5),
+    "basis_fills_n": (lambda: _low_rank_matrix(40, 40, 40, 0.0, 16), 20),
+    "tall": (lambda: _low_rank_matrix(200, 30, 30, 0.0, 17), 8),
+    "wide": (lambda: _low_rank_matrix(30, 200, 30, 0.0, 18), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXHAUSTED_KRYLOV))
+def test_bksvd_exhausted_krylov_space(case):
+    """rank(A) < k'(q+1): the basis stays orthonormal and the SVD exact.
+
+    Zero singular values come back as square roots of rounding error
+    (about 1e-8 sigma_1), hence the 1e-7 sigma_1 tolerance on sigma.
+    """
+    build, k = EXHAUSTED_KRYLOV[case]
+    mat = build()
+    dense = mat.toarray() if sp.issparse(mat) else mat
+    u, s, v = bksvd(mat, k, seed=0)
+    s_exact = np.linalg.svd(dense, compute_uv=False)
+    np.testing.assert_allclose(u.T @ u, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s, s_exact[:k], rtol=0,
+                               atol=1e-7 * s_exact[0])
+    # A^T U = V Sigma, which PPRFactorState.v_scaled relies on
+    np.testing.assert_allclose(dense.T @ u, v * s, rtol=0,
+                               atol=1e-12 * s_exact[0])
+
+
 def test_bksvd_rejects_bad_rank():
     mat = np.eye(5)
     with pytest.raises(ParameterError):
         bksvd(mat, 0)
     with pytest.raises(ParameterError):
         bksvd(mat, 10)
+    with pytest.raises(ParameterError):
+        bksvd(mat, 2, num_iters=-3)
 
 
 def test_default_krylov_iterations_monotone_in_eps():
@@ -115,3 +178,7 @@ def test_rsvd_vs_bksvd_on_noisy_matrix():
 def test_rsvd_rejects_bad_rank():
     with pytest.raises(ParameterError):
         randomized_svd(np.eye(4), 9)
+    for bad in ({"oversample": -3}, {"oversample": -10},
+                {"power_iters": -1}):
+        with pytest.raises(ParameterError):
+            randomized_svd(np.eye(8), 6, **bad)
