@@ -1,20 +1,11 @@
-"""Fit-pipeline scaling: the default NRP.fit vs ``workers=4``.
+"""Fit-pipeline scaling: ``NRP(dim).fit`` at several graph sizes.
 
-At several graph sizes it times
-
-* ``default`` — ``NRP(dim)`` with ``chunk_size=None, workers=1``;
-* ``parallel`` — ``NRP(dim, workers=4)``: the same default chunk grid,
-  with the row chunks of the SVD sketch, the power iterations and the
-  reweighting precompute fanned out to four processes (capped at the
-  usable cores).
-
-For the default fit it also records where the time went: the seconds
-of the ``approx_ppr.svd``, ``approx_ppr.propagation`` and
-``nrp.reweighting`` spans that :mod:`repro.obs` records inside
-``nrp.fit``. Alongside wall-clock it records the parity between the two
-embeddings (the engine's contract is <= 1e-8 max abs diff) and writes
-the whole trajectory to ``benchmarks/results/fit_scaling.json`` so CI
-can archive it. The final assert pins the parity.
+For each size it records the wall-clock of one fit and where the time
+went: the seconds of the ``approx_ppr.svd``, ``approx_ppr.propagation``
+and ``nrp.reweighting`` spans that :mod:`repro.obs` records inside
+``nrp.fit``. The whole trajectory goes to
+``benchmarks/results/fit_scaling.json`` so CI can archive it and
+``tools/bench_compare.py`` can compare it with a baseline.
 
 Runnable standalone (``python benchmarks/bench_fit_scaling.py``) or via
 pytest (marked ``slow``).
@@ -24,7 +15,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import NRP, obs
@@ -43,8 +33,6 @@ pytestmark = pytest.mark.slow
 SIZES = (10_000, 25_000, 50_000)
 DIM = 32
 EDGE_FACTOR = 5
-WORKERS = 4
-PARITY_TOL = 1e-8
 RESULTS_PATH = Path(__file__).parent / "results" / "fit_scaling.json"
 #: fit phases timed by repro.obs spans -> the fit_scaling.json row key
 PHASES = {"approx_ppr.svd": "svd_seconds",
@@ -57,46 +45,31 @@ def _measure(num_nodes: int, seed: int = 0) -> dict:
                                   num_communities=16, seed=seed)
     with obs.capture(clear_after=True) as registry:
         start = time.perf_counter()
-        default_model = NRP(dim=DIM, seed=seed).fit(graph)
+        NRP(dim=DIM, seed=seed).fit(graph)
         default_seconds = time.perf_counter() - start
         phases = {key: registry.get("span_seconds", {"name": name}).sum
                   for name, key in PHASES.items()}
-
-    start = time.perf_counter()
-    parallel_model = NRP(dim=DIM, seed=seed, workers=WORKERS).fit(graph)
-    parallel_seconds = time.perf_counter() - start
-
-    max_diff = max(
-        float(np.abs(default_model.forward_ - parallel_model.forward_).max()),
-        float(np.abs(default_model.backward_
-                     - parallel_model.backward_).max()))
     return {"nodes": graph.num_nodes, "edges": graph.num_edges,
             "default_seconds": round(default_seconds, 3),
-            **{key: round(value, 3) for key, value in phases.items()},
-            "parallel_seconds": round(parallel_seconds, 3),
-            "speedup": round(default_seconds / parallel_seconds, 2),
-            "max_abs_diff": max_diff}
+            **{key: round(value, 3) for key, value in phases.items()}}
 
 
 def run_scaling(sizes=SIZES) -> list[dict]:
     rows = [_measure(n) for n in sizes]
-    record = {"dim": DIM, "edge_factor": EDGE_FACTOR, "workers": WORKERS,
+    record = {"dim": DIM, "edge_factor": EDGE_FACTOR,
               "available_cpus": available_cpus(), "rows": rows}
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(record, indent=2) + "\n",
                             encoding="utf-8")
 
-    title = (f"NRP.fit scaling: default vs workers={WORKERS} "
-             f"(dim={DIM}, {available_cpus()} usable cores)")
+    title = f"NRP.fit scaling (dim={DIM}, {available_cpus()} usable cores)"
     table = format_table(
-        ["nodes", "edges", "default fit (s)", "svd (s)", "propagation (s)",
-         "reweighting (s)", f"workers={WORKERS} fit (s)", "speedup",
-         "max |diff|"],
+        ["nodes", "edges", "fit (s)", "svd (s)", "propagation (s)",
+         "reweighting (s)"],
         [[f"{r['nodes']:,}", f"{r['edges']:,}",
           f"{r['default_seconds']:.2f}", f"{r['svd_seconds']:.2f}",
           f"{r['propagation_seconds']:.2f}",
-          f"{r['reweighting_seconds']:.2f}", f"{r['parallel_seconds']:.2f}",
-          f"{r['speedup']:.2f}x", f"{r['max_abs_diff']:.1e}"]
+          f"{r['reweighting_seconds']:.2f}"]
          for r in rows])
     report("fit_scaling", title + "\n" + table)
     return rows
@@ -105,7 +78,11 @@ def run_scaling(sizes=SIZES) -> list[dict]:
 def test_fit_scaling():
     sizes = tuple(max(2_000, int(n * bench_scale())) for n in SIZES)
     for row in run_scaling(sizes):
-        assert row["max_abs_diff"] <= PARITY_TOL
+        phases = [row[key] for key in PHASES.values()]
+        # every phase span was recorded and nests inside the fit (each
+        # value is rounded to the millisecond)
+        assert min(phases) > 0
+        assert sum(phases) <= row["default_seconds"] + 0.002
 
 
 if __name__ == "__main__":

@@ -2,14 +2,17 @@
 
 The offline half of the pipeline in one command::
 
-    repro-fit graph.txt store_dir --dim 128 --workers 4
+    repro-fit graph.txt store_dir --dim 128
 
 reads a whitespace ``src dst`` edge-list file, fits :class:`repro.NRP`
-(through the chunked engine when ``--chunk-size``/``--workers`` are
-given), and writes an mmap-able :class:`repro.serving.EmbeddingStore`
-directory that ``repro-serve query`` answers top-k requests from.
-Optionally also archives the run as a compressed ``.npz`` bundle
-(``--bundle``).
+in this process, and writes an mmap-able
+:class:`repro.serving.EmbeddingStore` directory that ``repro-serve
+query`` answers top-k requests from. Optionally also archives the run
+as a compressed ``.npz`` bundle (``--bundle``).
+
+Invalid hyperparameters (``--lam nan``, ``--eps nan``, ``--dim 15``)
+are reported as one ``repro-fit: error:`` line with exit status 2, and
+no store is written.
 
 Installed as a console script by ``setup.py``; also runnable as
 ``python -m repro.cli_fit``.
@@ -60,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--update-mode", default="sequential",
                         choices=("sequential", "jacobi"),
                         help="reweighting sweep mode (default sequential)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="rows per chunk for the chunked fit engine")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for chunked stages "
-                             "(default 1; implies the chunked engine "
-                             "when > 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
     parser.add_argument("--name", default=None,
@@ -81,11 +78,9 @@ def _build_model(args):
     if args.method == "nrp":
         return NRP(dim=args.dim, alpha=args.alpha, ell1=args.ell1,
                    ell2=args.ell2, eps=args.eps, lam=args.lam, svd=args.svd,
-                   update_mode=args.update_mode, seed=args.seed,
-                   chunk_size=args.chunk_size, workers=args.workers)
+                   update_mode=args.update_mode, seed=args.seed)
     return ApproxPPREmbedder(dim=args.dim, alpha=args.alpha, ell1=args.ell1,
-                             eps=args.eps, svd=args.svd, seed=args.seed,
-                             chunk_size=args.chunk_size, workers=args.workers)
+                             eps=args.eps, svd=args.svd, seed=args.seed)
 
 
 def run_fit(args) -> dict:
@@ -110,8 +105,7 @@ def run_fit(args) -> dict:
     fit_meta = {"fit_seconds": round(fit_seconds, 3),
                 "num_nodes": graph.num_nodes, "num_edges": graph.num_edges,
                 "directed": graph.directed, "seed": args.seed,
-                "update_mode": args.update_mode,
-                "chunk_size": args.chunk_size, "workers": args.workers}
+                "update_mode": args.update_mode}
     store = model.export_store(args.store, metadata=fit_meta)
     if args.bundle:
         save_embeddings(model, args.bundle, metadata=fit_meta)

@@ -72,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="factorization backend (default bksvd)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="rows per chunk for the chunked engines")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for chunked stages")
     parser.add_argument("--name", default=None,
                         help="store name (default: the method's name)")
     parser.add_argument("--batch-size", type=int, default=1000,
@@ -204,8 +200,7 @@ def run_stream(args) -> int:
         raise ReproError(f"edge list {args.edgelist!r} contains no nodes")
     model = NRP(dim=args.dim, alpha=args.alpha, ell1=args.ell1,
                 ell2=args.ell2, eps=args.eps, lam=args.lam, svd=args.svd,
-                seed=args.seed, chunk_size=args.chunk_size,
-                workers=args.workers, keep_factor_state=True)
+                seed=args.seed, keep_factor_state=True)
     config = StreamingConfig(
         refresh_tol=args.refresh_tol,
         warm_epochs=args.warm_epochs,

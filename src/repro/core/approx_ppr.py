@@ -13,10 +13,15 @@ embeddings ``Y`` (``X @ Y.T ~= Pi'``) without ever materializing an
 
 Theorem 1 bounds the entrywise error by
 ``(1+eps) sigma_{k'+1} (1-alpha)(1-(1-alpha)^ell1) + (1-alpha)^(ell1+1)``.
+
+Both stages run in one process on the whole graph: the SVD multiplies
+the CSR adjacency matrix by dense blocks, and each power iteration is
+one CSR × dense product updated in place.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +29,25 @@ import numpy as np
 from .. import obs
 from ..errors import ParameterError
 from ..graph import Graph
-from ..linalg import BlockSparseOperator, bksvd, randomized_svd
-from ..parallel import parallel_map, payload
-from ..ppr.chunks import iter_chunks
+from ..linalg import bksvd, randomized_svd
 from ..rng import ensure_rng
 
 __all__ = ["ApproxPPRConfig", "PPRFactorState", "approx_ppr_embeddings",
            "approx_ppr_state", "theorem1_bound"]
+
+
+def _check_integers(**values) -> None:
+    """Raise :class:`ParameterError` for any value that is not an integer.
+
+    ``operator.index`` accepts Python and NumPy integers and refuses
+    ``16.0``, which ``int(x) != x`` would let through.
+    """
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(
+                f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -39,15 +56,6 @@ class ApproxPPRConfig:
 
     ``k_prime`` is the per-side dimensionality ``k' = k/2``; the paper's
     defaults are ``alpha=0.15, ell1=20, eps=0.2``.
-
-    ``chunk_size`` / ``workers`` select the chunked engine: every
-    matrix–block product (SVD sketching and the ``ell1`` power
-    iterations) is evaluated over row chunks, optionally across worker
-    processes. The chunked engine is bit-identical to the dense-path
-    arithmetic for the sparse products and deterministic given ``seed``
-    regardless of ``workers``. The power iterations always run over
-    row chunks (``chunk_size=None`` is the default grid); by default
-    the SVD sketch multiplies the whole adjacency matrix at once.
     """
 
     k_prime: int
@@ -56,15 +64,9 @@ class ApproxPPRConfig:
     eps: float = 0.2
     svd: str = "bksvd"           # "bksvd" | "rsvd" | "exact"
     seed: int | None = 0
-    chunk_size: int | None = None
-    workers: int = 1
-
-    @property
-    def chunked(self) -> bool:
-        """Whether the chunked engine is selected."""
-        return self.chunk_size is not None or self.workers != 1
 
     def validate(self) -> None:
+        _check_integers(k_prime=self.k_prime, ell1=self.ell1)
         if self.k_prime < 1:
             raise ParameterError("k_prime must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -73,35 +75,15 @@ class ApproxPPRConfig:
                 f"got {self.alpha!r}")
         if self.ell1 < 1:
             raise ParameterError("ell1 must be >= 1")
-        if self.eps <= 0:
-            raise ParameterError("eps must be positive")
+        if not self.eps > 0:               # also refuses NaN
+            raise ParameterError(f"eps must be positive, got {self.eps!r}")
         if self.svd not in ("bksvd", "rsvd", "exact"):
             raise ParameterError(f"unknown svd backend {self.svd!r}")
-        if self.chunk_size is not None and (
-                int(self.chunk_size) != self.chunk_size or self.chunk_size < 1):
-            raise ParameterError(
-                f"chunk_size must be a positive integer or None, "
-                f"got {self.chunk_size!r}")
-        if int(self.workers) != self.workers or self.workers < 1:
-            raise ParameterError(
-                f"workers must be a positive integer, got {self.workers!r}")
-        if self.chunked and self.svd == "exact":
-            raise ParameterError(
-                "svd='exact' densifies the full adjacency matrix, which "
-                "defeats the chunked engine; use svd='bksvd' or 'rsvd' "
-                "with chunk_size/workers")
 
 
 def _factorize_adjacency(graph: Graph, config: ApproxPPRConfig,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     adjacency = graph.adjacency()
-    if config.chunked:
-        # Same arithmetic, evaluated one row block at a time (and in
-        # parallel when workers > 1): bksvd/rsvd only form matrix-block
-        # products, so the operator swap is invisible to them.
-        adjacency = BlockSparseOperator(adjacency,
-                                        chunk_size=config.chunk_size,
-                                        workers=config.workers)
     rng = ensure_rng(config.seed)
     if config.svd == "bksvd":
         return bksvd(adjacency, config.k_prime, eps=config.eps, seed=rng)
@@ -112,31 +94,20 @@ def _factorize_adjacency(graph: Graph, config: ApproxPPRConfig,
     return u[:, :config.k_prime], s[:config.k_prime], vt[:config.k_prime].T
 
 
-def _power_chunk(index: int) -> np.ndarray:
-    p_rows, x1_rows, x, decay = payload()
-    return decay * (p_rows[index] @ x) + x1_rows[index]
+def _power_iterations(p, x1: np.ndarray,
+                      config: ApproxPPRConfig) -> np.ndarray:
+    """Line 3 of Algorithm 1: ``X_i = (1 - alpha) P X_{i-1} + X_1``.
 
-
-def _chunked_power_iterations(p, x1: np.ndarray,
-                              config: ApproxPPRConfig) -> np.ndarray:
-    """Lines 3 of Algorithm 1 over row chunks of ``P``.
-
-    Each output row of ``(1 - alpha) P X + X_1`` depends on the full
-    current ``X`` but is computed independently, so the row-chunked
-    product is bit-identical to the one-shot product for any grid and
-    worker count.
+    The scaling and the addition run in place on the fresh product, the
+    same IEEE operations as ``decay * (p @ x) + x1`` with one allocation
+    per iteration instead of three. ``x1`` is never written.
     """
-    bounds = list(iter_chunks(x1.shape[0], config.chunk_size))
-    # every iteration multiplies the same row blocks: slice them once
-    p_rows = [p[start:stop] for start, stop in bounds]
-    x1_rows = [x1[start:stop] for start, stop in bounds]
     decay = 1.0 - config.alpha
     x = x1.copy()
     for _ in range(2, config.ell1 + 1):
-        blocks = parallel_map(_power_chunk, range(len(bounds)),
-                              workers=config.workers,
-                              payload=(p_rows, x1_rows, x, decay))
-        x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+        x = p @ x
+        x *= decay
+        x += x1
     return x
 
 
@@ -189,9 +160,8 @@ def approx_ppr_state(graph: Graph, config: ApproxPPRConfig,
     v_scaled = v * inv_sqrt[None, :]
 
     p = graph.transition_matrix()
-    with obs.trace("approx_ppr.propagation", ell1=config.ell1,
-                   chunked=config.chunked):
-        x_iter = _chunked_power_iterations(p, x1, config)
+    with obs.trace("approx_ppr.propagation", ell1=config.ell1):
+        x_iter = _power_iterations(p, x1, config)
     return PPRFactorState(x1=x1, x_iter=x_iter, y=y, v_scaled=v_scaled)
 
 

@@ -10,6 +10,10 @@ weights (Lines 8-9):
 
 so that ``X_u . Y_v ~= w_fwd[u] pi(u, v) w_bwd[v]`` (Eq. 4), the
 degree-calibrated proximity that fixes vanilla PPR's locality problem.
+
+The whole fit runs in one process: :mod:`repro.core.approx_ppr` for the
+factorization, then one blocked sweep per half-epoch from
+:mod:`repro.core.reweighting`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from ..embedder import Embedder
 from ..errors import ParameterError, ReproError
 from ..graph import Graph
 from ..rng import spawn_rngs
-from .approx_ppr import (ApproxPPRConfig, PPRFactorState,
+from .approx_ppr import (ApproxPPRConfig, PPRFactorState, _check_integers,
                          approx_ppr_embeddings, approx_ppr_state)
 from .objective import reweighting_objective
 from .reweighting import update_backward_weights, update_forward_weights
@@ -36,15 +40,8 @@ class NRPConfig:
     """All hyperparameters of Algorithm 3 with the paper's defaults.
 
     ``dim`` is the total per-node budget ``k``; each side receives
-    ``k' = k/2`` (Line 1 of Algorithm 3).
-
-    ``chunk_size`` and ``workers`` select the chunked fit engine: the
-    ApproxPPR stage runs over row-chunked sparse blocks and the
-    reweighting precompute is split into row chunks, with chunks
-    optionally fanned out to ``workers`` processes. A fit is
-    deterministic given ``seed`` and ``chunk_size`` regardless of
-    ``workers`` (chunk boundaries depend only on ``chunk_size``), and
-    different chunk grids agree to ``<= 1e-8``.
+    ``k' = k/2`` (Line 1 of Algorithm 3). A fit is deterministic given
+    ``seed``: two fits of one graph are bit-identical.
     """
 
     dim: int = 128
@@ -57,29 +54,27 @@ class NRPConfig:
     update_mode: str = "sequential"   # "sequential" (faithful) | "jacobi"
     exact_b1: bool = False            # paper uses the Eq. (14) approximation
     seed: int | None = 0
-    chunk_size: int | None = None
-    workers: int = 1
 
-    @property
-    def chunked(self) -> bool:
-        """Whether the chunked fit engine is selected."""
-        return self.chunk_size is not None or self.workers != 1
+    def approx_config(self, seed) -> ApproxPPRConfig:
+        """The Algorithm-1 inputs of this fit, with ``seed`` for the SVD."""
+        return ApproxPPRConfig(k_prime=self.dim // 2, alpha=self.alpha,
+                               ell1=self.ell1, eps=self.eps, svd=self.svd,
+                               seed=seed)
 
     def validate(self) -> None:
+        _check_integers(dim=self.dim, ell2=self.ell2)
         if self.dim < 2 or self.dim % 2:
             raise ParameterError("dim must be an even integer >= 2")
         if self.ell2 < 0:
             raise ParameterError("ell2 must be >= 0")
-        if self.lam < 0:
-            raise ParameterError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:   # also refuses NaN
+            raise ParameterError(
+                f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.update_mode not in ("sequential", "jacobi"):
             raise ParameterError(f"unknown update_mode {self.update_mode!r}")
-        # alpha, chunk_size and workers (shared with the ApproxPPR stage)
-        # are validated once, here, with their clear messages
-        ApproxPPRConfig(k_prime=self.dim // 2, alpha=self.alpha,
-                        ell1=self.ell1, eps=self.eps, svd=self.svd,
-                        chunk_size=self.chunk_size,
-                        workers=self.workers).validate()
+        # alpha, ell1, eps and svd (shared with the ApproxPPR stage) are
+        # validated once, there
+        self.approx_config(self.seed).validate()
 
 
 class NRP(Embedder):
@@ -105,15 +100,13 @@ class NRP(Embedder):
                  ell2: int = 10, eps: float = 0.2, lam: float = 10.0,
                  svd: str = "bksvd", update_mode: str = "sequential",
                  exact_b1: bool = False, seed: int | None = 0,
-                 chunk_size: int | None = None, workers: int = 1,
                  track_objective: bool = False,
                  keep_factor_state: bool = False) -> None:
         super().__init__(dim, seed=seed)
         self.config = NRPConfig(dim=dim, alpha=alpha, ell1=ell1, ell2=ell2,
                                 eps=eps, lam=lam, svd=svd,
                                 update_mode=update_mode, exact_b1=exact_b1,
-                                seed=seed, chunk_size=chunk_size,
-                                workers=workers)
+                                seed=seed)
         self.config.validate()
         self.track_objective = track_objective
         self.keep_factor_state = keep_factor_state
@@ -128,10 +121,7 @@ class NRP(Embedder):
     def fit(self, graph: Graph) -> "NRP":
         cfg = self.config
         svd_rng, sweep_rng = spawn_rngs(cfg.seed, 2)
-        approx_cfg = ApproxPPRConfig(
-            k_prime=cfg.dim // 2, alpha=cfg.alpha, ell1=cfg.ell1,
-            eps=cfg.eps, svd=cfg.svd, seed=svd_rng,
-            chunk_size=cfg.chunk_size, workers=cfg.workers)
+        approx_cfg = cfg.approx_config(svd_rng)
         # nrp.fit is the root span; approx_ppr.svd / approx_ppr.propagation
         # and nrp.reweighting nest inside it, giving per-phase timings
         with obs.trace("nrp.fit", n=graph.num_nodes, dim=cfg.dim):
@@ -190,8 +180,7 @@ class NRP(Embedder):
         """One backward-then-forward sweep pair; new ``(w_fwd, w_bwd)``."""
         cfg = self.config
         options = dict(mode=cfg.update_mode, exact_b1=cfg.exact_b1,
-                       seed=sweep_rng, chunk_size=cfg.chunk_size,
-                       workers=cfg.workers)
+                       seed=sweep_rng)
         w_bwd = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in,
                                         cfg.lam, **options)
         w_fwd = update_forward_weights(x, y, w_fwd, w_bwd, d_out, d_in,
@@ -292,12 +281,10 @@ class ApproxPPREmbedder(Embedder):
 
     def __init__(self, dim: int = 128, *, alpha: float = 0.15, ell1: int = 20,
                  eps: float = 0.2, svd: str = "bksvd",
-                 seed: int | None = 0, chunk_size: int | None = None,
-                 workers: int = 1) -> None:
+                 seed: int | None = 0) -> None:
         super().__init__(dim, seed=seed)
         self.config = ApproxPPRConfig(k_prime=dim // 2, alpha=alpha,
-                                      ell1=ell1, eps=eps, svd=svd, seed=seed,
-                                      chunk_size=chunk_size, workers=workers)
+                                      ell1=ell1, eps=eps, svd=svd, seed=seed)
         self.config.validate()
 
     def fit(self, graph: Graph) -> "ApproxPPREmbedder":

@@ -13,9 +13,8 @@ orientation; the forward sweep is the same computation with ``(x,
 w_fwd, d_out)`` and ``(y, w_bwd, d_in)`` exchanged (compare the
 aggregate definitions below). Everything in a node's update except one
 dot product with the fused state ``r = [rho1, rho2]`` is independent of
-the other updates, so it is precomputed row-wise over ``chunk_size``
-row chunks, fanned out to ``workers`` processes. Two update modes finish
-the epoch:
+the other updates, so it is precomputed for all rows at once. Two update
+modes finish the epoch:
 
 * ``sequential`` — the Gauss–Seidel sweep of Algorithm 2/4 (random node
   order, incremental ``rho``). Until a weight hits the ``1/n`` floor the
@@ -30,10 +29,9 @@ the epoch:
   vectorized shot (an ablation; much faster on huge graphs, slightly
   different trajectory).
 
-Results are deterministic given ``(seed, chunk_size)`` and independent
-of ``workers``. The naive functions at the end evaluate the Eq. (7)/(23)
-sums directly in ``O(n k')`` per node; tests use them to pin down the
-fast path.
+Results are deterministic given ``seed``. The naive functions at the end
+evaluate the Eq. (7)/(23) sums directly in ``O(n k')`` per node; tests
+use them to pin down the fast path.
 
 ``b1`` handling: Eq. (14) approximates ``b1`` via the AM-GM sandwich of
 Eq. (12) with a ``k'/2`` multiplier. Since ``b1`` is exactly
@@ -50,8 +48,6 @@ import numpy as np
 from scipy.linalg.blas import dtrsv
 
 from ..errors import DimensionError, ParameterError
-from ..parallel import parallel_map, payload
-from ..ppr.chunks import iter_chunks
 from ..rng import ensure_rng
 
 __all__ = [
@@ -143,49 +139,38 @@ def forward_aggregates(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
 # The sweep, in the backward orientation (see the module docstring).
 # ----------------------------------------------------------------------
 
-def _row_terms(bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Rho-independent per-node terms of Eq. (8) for one row chunk.
+def _row_terms(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
+               w0: np.ndarray, d_in: np.ndarray, lam: float,
+               agg: BackwardAggregates, exact_b1: bool,
+               ) -> tuple[np.ndarray, ...]:
+    """Rho-independent per-node terms of Eq. (8), one row per node.
 
     Returns ``(z, u, num0, denom)``: node ``v``'s update is ``new =
     clamp((num0[v] - r . z[v]) / denom[v])``, after which Eq. (11) reads
     ``r += (new - w0[v]) * u[v]``.
     """
-    (x, y, w_fwd, w0, d_in, lam, agg, exact_b1) = payload()
-    start, stop = bounds
     k_prime = x.shape[1]
-    xc, yc = x[start:stop], y[start:stop]
-    wfc, w0c = w_fwd[start:stop], w0[start:stop]
-    xyc = np.einsum("ij,ij->i", xc, yc)
-    wf2c = wfc * wfc
-    lam_yc = yc @ agg.lam_mat.T                 # row v = lam_mat @ y[v]
-    y_lam_y = np.einsum("ij,ij->i", lam_yc, yc)
-    a1 = yc @ agg.xi
-    proj = yc @ agg.chi - wfc * xyc
-    a2 = d_in[start:stop] * proj
+    xy = np.einsum("ij,ij->i", x, y)
+    wf2 = w_fwd * w_fwd
+    lam_y = y @ agg.lam_mat.T                   # row v = lam_mat @ y[v]
+    y_lam_y = np.einsum("ij,ij->i", lam_y, y)
+    a1 = y @ agg.xi
+    proj = y @ agg.chi - w_fwd * xy
+    a2 = d_in * proj
     b2 = proj * proj
     if exact_b1:
-        b1 = y_lam_y - wf2c * xyc * xyc
+        b1 = y_lam_y - wf2 * xy * xy
     else:
-        b1 = 0.5 * k_prime * ((yc * yc) @ agg.phi
-                              - wf2c * ((yc * xc) ** 2).sum(axis=1))
+        b1 = 0.5 * k_prime * ((y * y) @ agg.phi
+                              - wf2 * ((y * x) ** 2).sum(axis=1))
     # a3 = rho1.lam_y[v] - w0 y_lam_y - rho2.y[v] + w0 wf2 xy^2; the two
     # rho dots are r . z[v], the rest folds into num0 (each node is
     # visited once per epoch, so its own weight is still w0 there).
-    z = np.hstack([lam_yc, -yc])
-    u = np.hstack([yc, (wf2c * xyc)[:, None] * xc])
-    num0 = a1 + a2 + w0c * y_lam_y - w0c * wf2c * xyc * xyc
+    z = np.hstack([lam_y, -y])
+    u = np.hstack([y, (wf2 * xy)[:, None] * x])
+    num0 = a1 + a2 + w0 * y_lam_y - w0 * wf2 * xy * xy
     denom = b1 + b2 + lam
     return z, u, num0, denom
-
-
-def _jacobi_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    """One row chunk of the vectorized Jacobi update (Eq. 8, frozen rho)."""
-    z, _, num0, denom = _row_terms(bounds)
-    x, *_, agg, _ = payload()
-    floor = 1.0 / x.shape[0]
-    numer = num0 - z @ np.concatenate([agg.rho1, agg.rho2])
-    new = np.where(denom > _TINY, numer / np.maximum(denom, _TINY), floor)
-    return np.maximum(floor, new)
 
 
 def _gauss_seidel(z: np.ndarray, u: np.ndarray, num0: np.ndarray,
@@ -236,33 +221,30 @@ def _gauss_seidel(z: np.ndarray, u: np.ndarray, num0: np.ndarray,
 
 def _sweep(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
            w_bwd: np.ndarray, d_out: np.ndarray, d_in: np.ndarray,
-           lam: float, *, mode: str, exact_b1: bool, seed,
-           chunk_size: int | None, workers: int) -> np.ndarray:
+           lam: float, *, mode: str, exact_b1: bool, seed) -> np.ndarray:
     """One epoch in the backward orientation; returns new ``w_bwd``."""
     if mode not in ("sequential", "jacobi"):
         raise ParameterError(f"unknown update mode {mode!r}")
     n = x.shape[0]
-    bounds = list(iter_chunks(n, chunk_size))
+    floor = 1.0 / n
     agg = backward_aggregates(x, y, w_fwd, w_bwd, d_out)
+    r = np.concatenate([agg.rho1, agg.rho2])
     if mode == "jacobi":
-        blocks = parallel_map(_jacobi_chunk, bounds, workers=workers,
-                              payload=(x, y, w_fwd, w_bwd, d_in, lam, agg,
-                                       exact_b1))
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        # Eq. (8) for every node from the same (frozen) rho
+        z, _, num0, denom = _row_terms(x, y, w_fwd, w_bwd, d_in, lam, agg,
+                                       exact_b1)
+        new = np.where(denom > _TINY, (num0 - z @ r)
+                       / np.maximum(denom, _TINY), floor)
+        return np.maximum(floor, new)
 
     # The precompute runs on the rows in visiting order, so the sweep
     # reads each block as one contiguous slice.
     perm = ensure_rng(seed).permutation(n)
     w0 = w_bwd[perm].astype(np.float64)
-    blocks = parallel_map(_row_terms, bounds, workers=workers,
-                          payload=(x[perm], y[perm], w_fwd[perm], w0,
-                                   np.asarray(d_in)[perm], lam, agg,
-                                   exact_b1))
-    terms = (blocks[0] if len(blocks) == 1
-             else [np.concatenate(parts) for parts in zip(*blocks)])
-    r = np.concatenate([agg.rho1, agg.rho2])
+    terms = _row_terms(x[perm], y[perm], w_fwd[perm], w0,
+                       np.asarray(d_in)[perm], lam, agg, exact_b1)
     out = np.empty(n)
-    out[perm] = _gauss_seidel(*terms, w0, r, 1.0 / n)
+    out[perm] = _gauss_seidel(*terms, w0, r, floor)
     return out
 
 
@@ -270,25 +252,18 @@ def update_backward_weights(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
                             w_bwd: np.ndarray, d_out: np.ndarray,
                             d_in: np.ndarray, lam: float, *,
                             mode: str = "sequential", exact_b1: bool = False,
-                            seed=None, chunk_size: int | None = None,
-                            workers: int = 1) -> np.ndarray:
-    """One epoch of Algorithm 2 (``updateBwdWeights``); returns new weights.
-
-    ``chunk_size``/``workers`` split the rho-independent precompute into
-    row chunks (see the module docstring).
-    """
+                            seed=None) -> np.ndarray:
+    """One epoch of Algorithm 2 (``updateBwdWeights``); returns new weights."""
     _check_inputs(x, y, w_fwd, w_bwd, d_out, d_in)
     return _sweep(x, y, w_fwd, w_bwd, d_out, d_in, lam, mode=mode,
-                  exact_b1=exact_b1, seed=seed, chunk_size=chunk_size,
-                  workers=workers)
+                  exact_b1=exact_b1, seed=seed)
 
 
 def update_forward_weights(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
                            w_bwd: np.ndarray, d_out: np.ndarray,
                            d_in: np.ndarray, lam: float, *,
                            mode: str = "sequential", exact_b1: bool = False,
-                           seed=None, chunk_size: int | None = None,
-                           workers: int = 1) -> np.ndarray:
+                           seed=None) -> np.ndarray:
     """One epoch of Algorithm 4 (``updateFwdWeights``); returns new weights.
 
     The forward sweep is the backward sweep with the roles of
@@ -296,8 +271,7 @@ def update_forward_weights(x: np.ndarray, y: np.ndarray, w_fwd: np.ndarray,
     """
     _check_inputs(x, y, w_fwd, w_bwd, d_out, d_in)
     return _sweep(y, x, w_bwd, w_fwd, d_in, d_out, lam, mode=mode,
-                  exact_b1=exact_b1, seed=seed, chunk_size=chunk_size,
-                  workers=workers)
+                  exact_b1=exact_b1, seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -1,48 +1,15 @@
-"""Deterministic chunk-and-reduce process parallelism.
+"""The usable CPU count, for code that sizes a thread pool.
 
-The fit pipeline splits row-parallel work (PPR iterations, reweighting
-precomputation, Jacobi updates) into chunks and farms the chunks out to
-worker processes. Two properties are load-bearing and guaranteed here:
-
-* **Determinism regardless of worker count.** Chunk boundaries are a
-  function of ``chunk_size`` alone (see :mod:`repro.ppr.chunks`), every
-  chunk is computed with the same arithmetic wherever it runs, and
-  results are reduced in chunk order — so the bits of the output never
-  depend on ``workers``.
-* **Zero input serialization.** Workers are forked (copy-on-write)
-  *after* the payload is staged in this module, so large matrices are
-  shared with the children for free; only the per-chunk results travel
-  back through a pipe. Fork is only used on Linux: macOS BLAS backends
-  (Accelerate) are not fork-safe once the parent has initialized its
-  thread pool, and Windows has no fork — both degrade to the
-  in-process loop, which produces the same bits.
-
-``workers`` is capped at the number of usable cores: oversubscribing a
-machine only adds IPC overhead without changing results (the cap is why
-requesting ``workers=4`` on a single-core container costs nothing).
+The serving router and the HTTP tier size their thread pools from
+:func:`available_cpus`. The fit pipeline runs in one process: its
+sparse products and reweighting sweeps are single BLAS-backed passes.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import sys
-from typing import Any, Callable, Sequence
 
-from .errors import ParameterError
-
-__all__ = ["available_cpus", "effective_workers", "parallel_map", "payload"]
-
-_PAYLOAD: Any = None
-
-
-def payload() -> Any:
-    """The payload staged by the current :func:`parallel_map` call.
-
-    Worker functions call this instead of receiving the (potentially
-    huge) shared arrays as pickled arguments.
-    """
-    return _PAYLOAD
+__all__ = ["available_cpus"]
 
 
 def available_cpus() -> int:
@@ -51,61 +18,3 @@ def available_cpus() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
-
-
-def effective_workers(workers: int, num_tasks: int | None = None) -> int:
-    """Clamp a requested worker count to what can actually help.
-
-    Never more than the usable CPUs and never more than the number of
-    tasks; always at least 1. Raises :class:`ParameterError` for a
-    non-positive request so misconfiguration fails loudly.
-    """
-    if int(workers) != workers or workers < 1:
-        raise ParameterError(f"workers must be a positive integer, "
-                             f"got {workers!r}")
-    capped = min(int(workers), available_cpus())
-    if num_tasks is not None:
-        capped = min(capped, max(1, num_tasks))
-    return max(1, capped)
-
-
-def _fork_context() -> mp.context.BaseContext | None:
-    # Fork-without-exec is only reliably safe on Linux: Accelerate (the
-    # BLAS numpy links on macOS) can hang or crash in forked children
-    # once the parent has used it, which is why CPython moved macOS to
-    # the spawn default. Spawn cannot share the staged payload, so on
-    # non-Linux platforms the caller falls back to the inline loop.
-    if not sys.platform.startswith("linux"):
-        return None
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return None
-
-
-def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
-                 workers: int = 1, payload: Any = None,
-                 force_processes: bool = False) -> list[Any]:
-    """Apply ``fn`` to every task; results in task order.
-
-    ``fn`` must be a module-level function (it is sent to workers by
-    reference) that reads shared inputs via :func:`payload`. Tasks
-    should be small descriptors — chunk bounds, not arrays.
-
-    ``force_processes`` bypasses the CPU cap so the multiprocess path
-    can be exercised deterministically on any machine (used by tests).
-    """
-    global _PAYLOAD
-    tasks = list(tasks)
-    nproc = effective_workers(workers, len(tasks))
-    if force_processes and workers > 1 and len(tasks) > 1:
-        nproc = min(int(workers), max(1, len(tasks)))
-    ctx = _fork_context()
-    _PAYLOAD = payload
-    try:
-        if nproc <= 1 or ctx is None:
-            return [fn(task) for task in tasks]
-        with ctx.Pool(processes=nproc) as pool:
-            return pool.map(fn, tasks)
-    finally:
-        _PAYLOAD = None

@@ -2,8 +2,6 @@
 FORA, and top-k solvers."""
 
 from .backward_push import backward_push
-from .chunks import (DEFAULT_CHUNK_SIZE, iter_chunks, num_chunks,
-                     resolve_chunk_size)
 from .fora import fora
 from .forward_push import forward_push
 from .kernels import (HAS_NUMBA, KERNELS, available_kernels,
@@ -21,5 +19,4 @@ __all__ = [
     "forward_push_batch", "backward_push_batch", "spread_frontier",
     "KERNELS", "HAS_NUMBA", "available_kernels", "default_kernel",
     "resolve_kernel",
-    "DEFAULT_CHUNK_SIZE", "resolve_chunk_size", "iter_chunks", "num_chunks",
 ]

@@ -43,7 +43,6 @@ import scipy.sparse as sp
 from ..core.approx_ppr import ApproxPPRConfig, PPRFactorState, approx_ppr_state
 from ..errors import ParameterError, ReproError
 from ..graph import Graph
-from ..linalg import BlockSparseOperator
 from ..ppr.kernels import spread_frontier
 
 __all__ = ["IncrementalPPR", "changed_rows"]
@@ -74,10 +73,8 @@ class IncrementalPPR:
         The graph the sketches currently describe.
     config:
         The :class:`ApproxPPRConfig` of the base factorization; its
-        ``alpha`` drives propagation decay, ``ell1`` caps repair sweeps,
-        and ``chunk_size``/``workers`` select the chunked propagation
-        engine (the same :mod:`repro.parallel` scheduling the fit
-        pipeline uses).
+        ``alpha`` drives propagation decay and ``ell1`` caps repair
+        sweeps.
     state:
         A :class:`PPRFactorState` from :func:`approx_ppr_state` (or a
         ``keep_factor_state=True`` :class:`repro.NRP` fit). ``None``
@@ -240,11 +237,7 @@ class IncrementalPPR:
         # the frontier's in-arcs only, no sparse slicing, no O(n)
         # buffers); a wide one scatters the deltas into a dense buffer
         # and runs one full CSR product. The crossover ~5% of nodes is
-        # where per-arc gathering starts losing to the blocked product.
-        p_op = p_new
-        if cfg.chunked:
-            p_op = BlockSparseOperator(p_new, chunk_size=cfg.chunk_size,
-                                       workers=cfg.workers)
+        # where per-arc gathering starts losing to the full product.
         n = self.num_nodes
         buffer = None    # O(n k') scratch; only the wide path needs it
         active_idx, active_delta = touched, delta
@@ -262,7 +255,7 @@ class IncrementalPPR:
                 else:
                     buffer[:] = 0.0
                 buffer[active_idx] = active_delta
-                spread = decay * np.asarray(p_op @ buffer)
+                spread = decay * (p_new @ buffer)
                 # apply every nonzero contribution (free: already
                 # computed), but only rows above tol keep propagating
                 rows = np.flatnonzero(np.abs(spread).max(axis=1) > 0.0)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..core.approx_ppr import ApproxPPRConfig
 from ..core.nrp import NRP
 from ..errors import ParameterError, ReproError
 from ..graph import Graph
@@ -121,11 +120,7 @@ class StreamingUpdater:
                 f"nodes but the graph has {graph.num_nodes}")
         self.model = model
         cfg = model.config
-        self._approx_config = ApproxPPRConfig(
-            k_prime=cfg.dim // 2, alpha=cfg.alpha, ell1=cfg.ell1,
-            eps=cfg.eps, svd=cfg.svd, seed=cfg.seed,
-            chunk_size=cfg.chunk_size, workers=cfg.workers)
-        self.ppr = IncrementalPPR(graph, self._approx_config,
+        self.ppr = IncrementalPPR(graph, cfg.approx_config(cfg.seed),
                                   state=model.factor_state_,
                                   tol=self.config.refresh_tol)
         self.delta = DeltaGraph(graph)

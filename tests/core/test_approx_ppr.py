@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (ApproxPPRConfig, approx_ppr_embeddings,
                         theorem1_bound)
+from repro.core.approx_ppr import approx_ppr_state
 from repro.errors import ParameterError
 from repro.graph import erdos_renyi
 from repro.ppr import truncated_ppr_matrix
@@ -111,6 +112,29 @@ def test_config_validation():
         ApproxPPRConfig(k_prime=2, ell1=0).validate()
     with pytest.raises(ParameterError):
         ApproxPPRConfig(k_prime=2, svd="magic").validate()
+    with pytest.raises(ParameterError, match="eps"):
+        ApproxPPRConfig(k_prime=2, eps=float("nan")).validate()
+    with pytest.raises(ParameterError, match="k_prime"):
+        ApproxPPRConfig(k_prime=8.0).validate()
+    with pytest.raises(ParameterError, match="ell1"):
+        ApproxPPRConfig(k_prime=2, ell1=2.5).validate()
+    ApproxPPRConfig(k_prime=np.int64(2), ell1=np.int32(3),
+                    eps=float("inf")).validate()
+
+
+def test_propagation_is_the_textbook_recurrence(small_directed):
+    """The in-place power iterations equal ``(1 - alpha) P X + X_1`` bit
+    for bit and never write into ``X_1``, which IncrementalPPR reuses."""
+    cfg = ApproxPPRConfig(k_prime=8, seed=0)
+    state = approx_ppr_state(small_directed, cfg)
+    p = small_directed.transition_matrix()
+    x = state.x1.copy()
+    for _ in range(2, cfg.ell1 + 1):
+        x = (1 - cfg.alpha) * (p @ x) + state.x1
+    assert np.array_equal(state.x_iter, x)
+    first = approx_ppr_state(small_directed,
+                             ApproxPPRConfig(k_prime=8, seed=0, ell1=1))
+    assert np.array_equal(state.x1, first.x1)
 
 
 def test_k_prime_larger_than_n_rejected(fig1):

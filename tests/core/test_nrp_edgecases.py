@@ -1,10 +1,10 @@
 """NRP edge cases: ell2=0 unit weights, dangling clamp, objective
-monotonicity, and the chunk/worker/alpha configuration validation."""
+monotonicity, run-to-run determinism, and configuration validation."""
 
 import numpy as np
 import pytest
 
-from repro.core import NRP, NRPConfig
+from repro.core import NRP, ApproxPPREmbedder, NRPConfig
 from repro.core.reweighting import update_backward_weights
 from repro.errors import ParameterError
 from repro.graph import from_edges
@@ -100,10 +100,17 @@ def test_objective_history_empty_without_tracking(small_undirected):
     assert model.objective_history_ == []
 
 
-def test_objective_history_monotone_with_chunked_engine(small_undirected):
-    model = NRP(dim=16, seed=0, ell2=4, exact_b1=True, chunk_size=32,
-                workers=2, track_objective=True).fit(small_undirected)
-    assert np.all(np.diff(model.objective_history_) <= 1e-9)
+# ----------------------------------------------------------------------
+# determinism
+# ----------------------------------------------------------------------
+
+def test_default_fit_is_bit_identical_across_runs(small_undirected):
+    """Refitting with the same seed reproduces the embeddings exactly."""
+    for mode in ("sequential", "jacobi"):
+        first, again = (NRP(dim=16, seed=0, update_mode=mode, ell2=4,
+                            ).fit(small_undirected) for _ in range(2))
+        assert np.array_equal(again.forward_, first.forward_)
+        assert np.array_equal(again.backward_, first.backward_)
 
 
 # ----------------------------------------------------------------------
@@ -116,50 +123,43 @@ def test_config_rejects_alpha_outside_open_interval(alpha):
         NRPConfig(alpha=alpha).validate()
 
 
-@pytest.mark.parametrize("chunk_size", [0, -1, -100])
-def test_config_rejects_nonpositive_chunk_size(chunk_size):
-    with pytest.raises(ParameterError, match="chunk_size"):
-        NRPConfig(chunk_size=chunk_size).validate()
-
-
-@pytest.mark.parametrize("workers", [0, -2])
-def test_config_rejects_nonpositive_workers(workers):
-    with pytest.raises(ParameterError, match="workers"):
-        NRPConfig(workers=workers).validate()
-
-
-def test_config_rejects_fractional_workers():
-    with pytest.raises(ParameterError, match="workers"):
-        NRPConfig(workers=1.5).validate()
+@pytest.mark.parametrize("field, value", [
+    ("lam", float("nan")), ("lam", float("inf")), ("eps", float("nan")),
+    ("dim", 16.0), ("ell1", 2.5), ("ell2", 1.5), ("ell1", 20.0),
+])
+def test_config_rejects_nonfinite_and_fractional_values(field, value):
+    with pytest.raises(ParameterError, match=field):
+        NRPConfig(**{field: value}).validate()
+    with pytest.raises(ParameterError, match=field):
+        NRP(**{"dim": 16, field: value})
 
 
 def test_nrp_constructor_validates_chunk_arguments():
-    with pytest.raises(ParameterError, match="chunk_size"):
-        NRP(dim=16, chunk_size=0)
-    with pytest.raises(ParameterError, match="workers"):
-        NRP(dim=16, workers=0)
+    """The fit runs in one process: chunk and worker knobs are gone."""
+    for cls in (NRP, ApproxPPREmbedder):
+        with pytest.raises(TypeError, match="chunk_size"):
+            cls(dim=16, chunk_size=64)
+        with pytest.raises(TypeError, match="workers"):
+            cls(dim=16, workers=2)
     with pytest.raises(ParameterError, match="alpha"):
         NRP(dim=16, alpha=1.0)
 
 
-def test_chunked_engine_rejects_exact_svd():
-    with pytest.raises(ParameterError, match="exact"):
-        NRP(dim=16, svd="exact", chunk_size=64)
-
-
 def test_default_config_remains_valid():
     NRPConfig().validate()
-    NRPConfig(chunk_size=4096, workers=8).validate()
+    # NumPy integers, an infinite eps and lam = 0 still validate
+    NRPConfig(dim=np.int64(16), ell1=np.int32(5), ell2=np.int64(2),
+              eps=float("inf"), lam=0).validate()
 
 
 def test_update_functions_validate_chunk_arguments(random_embeddings):
     x, y, w_fwd, w_bwd, d_out, d_in = random_embeddings
-    with pytest.raises(ParameterError, match="chunk_size"):
+    with pytest.raises(TypeError, match="chunk_size"):
         update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, 0.1,
-                                chunk_size=0)
-    with pytest.raises(ParameterError, match="workers"):
+                                chunk_size=8)
+    with pytest.raises(TypeError, match="workers"):
         update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, 0.1,
-                                workers=0)
+                                workers=2)
     with pytest.raises(ParameterError):
         update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, 0.1,
-                                mode="chaotic", chunk_size=8)
+                                mode="chaotic")

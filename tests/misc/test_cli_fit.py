@@ -26,7 +26,7 @@ def test_fit_exports_queryable_store(edge_list_file, tmp_path, capsys):
     path, graph = edge_list_file
     store_dir = tmp_path / "store"
     rc = main([str(path), str(store_dir), "--dim", "16", "--ell2", "2",
-               "--chunk-size", "64", "--workers", "2", "--seed", "3"])
+               "--seed", "3"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["num_nodes"] == graph.num_nodes
@@ -35,7 +35,7 @@ def test_fit_exports_queryable_store(edge_list_file, tmp_path, capsys):
     store = EmbeddingStore.open(store_dir)
     assert store.num_nodes == graph.num_nodes
     assert store.directional
-    assert store.metadata["workers"] == 2
+    assert store.metadata["seed"] == 3
     ids, scores = store.to_serving().topk([0, 1], k=5)
     assert ids.shape == (2, 5)
     assert np.all(np.diff(scores, axis=1) <= 1e-12)
@@ -79,7 +79,7 @@ def test_fit_bundle_roundtrip_and_serve_query(edge_list_file, tmp_path,
 def test_fit_approxppr_method(edge_list_file, tmp_path, capsys):
     path, _ = edge_list_file
     rc = main([str(path), str(tmp_path / "s"), "--dim", "8",
-               "--method", "approxppr", "--workers", "2"])
+               "--method", "approxppr"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["name"] == "ApproxPPR"
@@ -102,15 +102,20 @@ def test_empty_edge_list_is_reported(tmp_path, capsys):
 def test_invalid_hyperparameters_are_reported(edge_list_file, tmp_path,
                                               capsys):
     path, _ = edge_list_file
-    rc = main([str(path), str(tmp_path / "s"), "--dim", "16",
-               "--workers", "0"])
-    assert rc == 2
-    assert "workers" in capsys.readouterr().err
+    for name in ("lam", "eps"):
+        store_dir = tmp_path / name
+        rc = main([str(path), str(store_dir), "--dim", "16",
+                   f"--{name}", "nan"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-fit: error:") and name in err
+        assert not store_dir.exists()
 
 
 def test_parser_defaults():
     args = build_parser().parse_args(["g.txt", "out"])
-    assert args.dim == 128 and args.workers == 1 and args.chunk_size is None
+    assert args.dim == 128 and args.update_mode == "sequential"
+    assert not hasattr(args, "workers") and not hasattr(args, "chunk_size")
     assert args.metrics_json is None and args.log_level is None
 
 

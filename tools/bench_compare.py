@@ -89,10 +89,9 @@ SPECS: dict[str, dict] = {
         ],
     },
     "fit_scaling.json": {
-        "context": ["dim", "edge_factor", "workers"],
+        "context": ["dim", "edge_factor"],
         "metrics": [
             ("rows.*.default_seconds", "lower", {"rel": 0.25}),
-            ("rows.*.parallel_seconds", "lower", {"rel": 0.25}),
         ],
     },
 }

@@ -22,10 +22,9 @@ Method (and its limits):
 * *executed lines* are recorded by a trace function that prunes
   non-package frames at call time (returns no local tracer), so the
   overhead lands only on package code;
-* worker threads are traced via ``threading.settrace``; **forked
-  worker processes are not traced** (their lines count only if the
-  in-process path also runs them — true for this repo's
-  ``parallel_map``, which the tests exercise with ``workers=1`` too);
+* worker threads are traced via ``threading.settrace``; **child
+  processes are not traced**, so lines that only a subprocess runs
+  (e.g. a CLI the tests launch with ``subprocess``) count as missed;
 * ``# pragma: no cover`` excludes that physical line.
 
 Numbers from this tool are not comparable with ``coverage.py`` to the
