@@ -1,4 +1,4 @@
-"""Ablations of NRP's own design choices (DESIGN.md section 6).
+"""Ablations of NRP's own design choices.
 
 1. Weight-update mode: the paper's sequential Gauss-Seidel sweep vs the
    vectorized Jacobi variant (quality/time tradeoff).

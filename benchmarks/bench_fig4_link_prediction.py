@@ -56,8 +56,8 @@ def test_fig4_full_roster(benchmark, dataset_name):
         assert table["nrp"] > table[rival] - 1e-9
     # ... and sit in the top group overall. (STRAP with delta ~ exact PPR
     # can edge ahead at toy scale where its proximity matrix is nearly
-    # uncompressed - the regime the paper shows it cannot sustain; see
-    # EXPERIMENTS.md and the Fig. 7 timing bench.)
+    # uncompressed - the regime the paper shows it cannot sustain, whose
+    # cost the Fig. 7 timing bench measures.)
     best = max(v for v in table.values() if v == v)
     assert table["nrp"] >= best - 0.02
 

@@ -27,8 +27,9 @@ def test_table1_exact_ppr(benchmark):
     block = format_table(["row", *[f"v{i}" for i in range(1, 10)]], rows,
                          float_fmt="{:.3f}")
     report("table1_ppr", f"\nTable 1 (alpha=0.15) - paper vs reproduction\n"
-                         f"(paper's v7 row is a known erratum, see "
-                         f"EXPERIMENTS.md)\n{block}")
+                         f"(paper's v7 row is a known erratum: it breaks "
+                         f"d(u) pi(u,v) = d(v) pi(v,u), so it is not "
+                         f"checked)\n{block}")
     for src in (1, 3, 8):
         np.testing.assert_allclose(pi[src], TABLE1_PPR[src], atol=1.5e-3)
 

@@ -6,8 +6,8 @@ Three stages, all reproduced with our substrates:
    pruning tiny entries, same trick as STRAP's PPR matrix);
 2. PPMI transform of ``R``;
 3. a stacked autoencoder compresses each node's PPMI row to ``dim``
-   (the original uses stacked *denoising* autoencoders; depth reduced,
-   documented in DESIGN.md).
+   (the original uses stacked *denoising* autoencoders; this one has no
+   input noise and fewer layers).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The original learns an LSTM over degree-ordered neighbor embedding
 sequences so nodes with *regularly equivalent* neighborhoods embed
 alike. Reproducing an LSTM in numpy adds nothing to the NRP evaluation
 (DRNE is a mid-tier competitor), so we keep DRNE's recursion but replace
-the LSTM cell with a dense recurrent layer (documented in DESIGN.md):
+the LSTM cell with a dense recurrent layer:
 
     Z <- tanh( mean_{u in N(v)} Z_u W  +  z0_v U )
 

@@ -3,7 +3,7 @@
 The original learns a softmax *attention* distribution ``q`` over walk
 lengths, defining the expected co-occurrence ``E = sum_i q_i P^i``, and
 factorizes it jointly with the attention by gradient descent. We keep
-both ingredients but alternate them (documented in DESIGN.md):
+both ingredients but alternate them instead of optimizing them jointly:
 
 1. given ``q``, factorize ``sum_i q_i P^i`` with randomized SVD into
    forward/backward halves (GA is direction-aware);

@@ -5,8 +5,8 @@ Generator ``G`` and discriminator ``D`` each hold an embedding table.
 produce pairs that fool ``D`` via the policy-gradient signal
 ``log(1 - D)``, with candidates drawn from ``G``'s own softmax over a
 sampled candidate pool (the original's BFS-tree softmax is replaced by
-pool sampling — documented in DESIGN.md; the adversarial alternation is
-kept). The final embedding is the generator table, as in the original.
+pool sampling; the adversarial alternation is kept). The final embedding
+is the generator table, as in the original.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 NetHiex couples each node with a latent hierarchical taxonomy learned
 by EM. We reproduce the *representation* — a node vector composed with
 its ancestors' category vectors — while learning the taxonomy by
-recursive k-means over a spectral bootstrap instead of nonparametric EM
-(documented in DESIGN.md):
+recursive k-means over a spectral bootstrap instead of nonparametric EM:
 
     Z_v = base_v + gamma * centroid(level1(v)) + gamma^2 * centroid(level2(v))
 

@@ -3,7 +3,7 @@
 PBG's modeling core is a dot-product edge score trained with in-batch
 negative sampling; its contribution is the distributed partitioning,
 which is irrelevant at laptop scale. We therefore train the same edge
-objective in one partition (documented simplification in DESIGN.md).
+objective in one partition.
 Like VERSE it emits one vector per node, hence ``lp_scoring = "auto"``.
 """
 

@@ -4,8 +4,8 @@ RaRE's key idea — separating a node's *social rank* (popularity) from
 its *proximity* — is kept: each node gets a proximity vector ``s_v``
 and a popularity scalar ``b_v``, with edge probability
 ``sigma(s_u . s_v + b_u + b_v)`` trained by SGD with negative sampling
-(a maximum-a-posteriori point estimate of their Bayesian model;
-documented simplification in DESIGN.md). Link prediction uses the
+(a maximum-a-posteriori point estimate in place of their Bayesian
+model's posterior). Link prediction uses the
 method's own probability function, per paper Section 5.2; node features
 are the proximity vectors with the popularity appended.
 """

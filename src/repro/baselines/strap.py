@@ -6,7 +6,7 @@ the graph plus PPR of the reversed graph), keeps only entries above
 halves ``U sqrt(S), V sqrt(S)`` make it direction-aware, which is why
 the NRP paper treats it as the strongest PPR competitor.
 
-Substitution note (documented in DESIGN.md): the original uses
+Substitution note: the original uses
 per-node backward push with threshold ``delta``; pushing node-by-node
 in pure Python is orders slower than the authors' C++, so the seed
 computed the same thresholded approximation with pruned sparse power

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ __all__ = ["bench_scale", "load_bench_dataset", "BENCH_OVERRIDES",
 #: (2) scale calibrations for absolute hyperparameters: the paper tuned
 #: lambda = 10 (NRP) and delta = 1e-5 (STRAP) on graphs 100-1000x larger
 #: than our laptop analogues, so the regularizer shrinks and the PPR
-#: threshold grows by the corresponding factor (see DESIGN.md section 4).
+#: threshold grows by the corresponding factor.
 BENCH_OVERRIDES: dict[str, dict] = {
     "nrp": {"lam": 0.1},
     "strap": {"delta": 1e-4},
@@ -105,8 +106,14 @@ def fit_timed(embedder: Embedder, graph: Graph) -> FitResult:
 def link_prediction_auc(method: str, dataset: Dataset, dim: int, *,
                         seed: int = 0, test_fraction: float = 0.3,
                         ) -> tuple[float, float]:
-    """(AUC, fit seconds) for one method on one dataset's LP split."""
-    split_rng, eval_rng = spawn_rngs(seed + hash(dataset.name) % 1000, 2)
+    """(AUC, fit seconds) for one method on one dataset's LP split.
+
+    The split is seeded by ``seed`` and the CRC-32 of the dataset's name,
+    so it is the same in every process (``hash`` of a ``str`` is salted
+    per process).
+    """
+    split_rng, eval_rng = spawn_rngs(
+        seed + zlib.crc32(dataset.name.encode()) % 1000, 2)
     split = link_prediction_split(dataset.graph, test_fraction=test_fraction,
                                   seed=split_rng)
     fitted = fit_timed(build_method(method, dim, seed=seed),

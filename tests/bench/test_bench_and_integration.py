@@ -1,8 +1,14 @@
 """Tests for the bench harness plus cross-module integration checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.bench import (BENCH_OVERRIDES, build_method, evolving_auc,
                          fit_timed, format_series_block, format_table,
                          link_prediction_auc)
@@ -42,6 +48,42 @@ def test_build_method_applies_overrides():
 def test_build_method_nrp_scale_calibration():
     m = build_method("nrp", 16)
     assert m.config.lam == pytest.approx(BENCH_OVERRIDES["nrp"]["lam"])
+
+
+#: prints a digest of the held-out pairs ``link_prediction_auc`` draws
+#: for a small dataset, and the AUC it reads on them
+_SPLIT_DIGEST = """
+import zlib
+import numpy as np
+from repro.bench import harness
+from repro.datasets import load_dataset
+
+splits = []
+make_split = harness.link_prediction_split
+harness.link_prediction_split = (
+    lambda *args, **kwargs: splits.append(make_split(*args, **kwargs))
+    or splits[-1])
+auc, _ = harness.link_prediction_auc(
+    "approxppr", load_dataset("wiki_sim", scale=0.05), 8)
+src, dst, labels = splits[0].test_pairs
+print(zlib.crc32(np.stack([src, dst, labels]).tobytes()), repr(auc))
+"""
+
+
+def test_link_prediction_split_is_the_same_in_every_process():
+    """The split seed must not come from ``hash`` of the dataset name:
+    Python salts ``str`` hashes per process (``PYTHONHASHSEED``)."""
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": src_root}
+        done = subprocess.run([sys.executable, "-c", _SPLIT_DIGEST],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0].strip()
+    assert outputs[0] == outputs[1]
 
 
 def test_fit_timed_reports_positive_time(small_undirected):

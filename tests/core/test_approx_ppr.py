@@ -7,7 +7,7 @@ from repro.core import (ApproxPPRConfig, approx_ppr_embeddings,
                         theorem1_bound)
 from repro.core.approx_ppr import approx_ppr_state
 from repro.errors import ParameterError
-from repro.graph import erdos_renyi
+from repro.graph import erdos_renyi, powerlaw_community
 from repro.ppr import truncated_ppr_matrix
 
 
@@ -52,6 +52,39 @@ def test_bksvd_and_exact_agree_at_full_precision(fig1):
                                                          seed=0))
     np.testing.assert_allclose(exact[0] @ exact[1].T,
                                approx[0] @ approx[1].T, atol=1e-6)
+
+
+#: ||X Y^T - Pi'||_F / ||Pi'||_F at k' = 16, 64, 128, 200 on
+#: powerlaw_community(400, 2000, 4 communities, seed 0), svd="exact"
+ERROR_CURVE_K_PRIMES = (16, 64, 128, 200)
+ERROR_CURVE = {"undirected": (0.603668, 0.480246, 0.355580, 0.233530),
+               "directed": (0.701672, 0.565615, 0.413325, 0.244419)}
+
+
+@pytest.mark.parametrize("kind", sorted(ERROR_CURVE))
+def test_measured_error_curve(kind):
+    """The error against Pi' falls strictly as k' grows, BKSVD reads
+    what the exact SVD reads, and both read the measured curve.
+
+    Theorem 1's bound proves nothing at these sizes (undirected, k' =
+    16: the bound is 6.23, the largest entry of Pi' 0.185), so the
+    curve is gated as measured. BKSVD's Krylov space runs out here from
+    k' = 64 on, so both of its orthonormalization paths run.
+    """
+    graph, _ = powerlaw_community(400, 2000, num_communities=4,
+                                  directed=kind == "directed", seed=0)
+    target = truncated_ppr_matrix(graph, 0.15, 20)
+
+    def error(k_prime, svd):
+        x, y = approx_ppr_embeddings(
+            graph, ApproxPPRConfig(k_prime=k_prime, svd=svd, seed=0))
+        return np.linalg.norm(x @ y.T - target) / np.linalg.norm(target)
+
+    exact = [error(k, "exact") for k in ERROR_CURVE_K_PRIMES]
+    krylov = [error(k, "bksvd") for k in ERROR_CURVE_K_PRIMES]
+    np.testing.assert_allclose(krylov, exact, rtol=1e-3)
+    np.testing.assert_allclose(exact, ERROR_CURVE[kind], rtol=1e-4)
+    assert all(a > b for a, b in zip(krylov, krylov[1:]))
 
 
 def test_increasing_ell1_improves_accuracy(fig1):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro.errors import ParameterError
 from repro.graph import figure1_graph, from_edges, powerlaw_community
 from repro.linalg import bksvd, default_krylov_iterations, randomized_svd
+from repro.linalg.bksvd import _orthonormal_extension
 
 
 def _low_rank_matrix(n, d, rank, noise, seed):
@@ -134,6 +135,60 @@ def test_bksvd_exhausted_krylov_space(case):
     # A^T U = V Sigma, which PPRFactorState.v_scaled relies on
     np.testing.assert_allclose(dense.T @ u, v * s, rtol=0,
                                atol=1e-12 * s_exact[0])
+
+
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["undirected", "directed"])
+def test_bksvd_orthonormalizes_graph_blocks_without_householder(
+        monkeypatch, directed):
+    """k' = 16: eight blocks fill 128 of the 400 dimensions, and
+    Cholesky-QR2 takes every one of them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    u, _, _ = bksvd(_community_adjacency(directed), 16, seed=5)
+    np.testing.assert_allclose(u.T @ u, np.eye(16), rtol=0, atol=1e-13)
+
+
+def _leaning_block(residual):
+    """A 500 x 8 Gaussian block whose last column is its first plus an
+    orthogonal step of ``residual`` times the first column's norm."""
+    rng = np.random.default_rng(2)
+    block = rng.standard_normal((500, 8))
+    step = rng.standard_normal(500)
+    first = block[:, 0]
+    step -= first * (first @ step) / (first @ first)
+    step *= residual * np.linalg.norm(first) / np.linalg.norm(step)
+    block[:, -1] = first + step
+    return block
+
+
+@pytest.mark.parametrize("residual", [1e-4, 1e-6, 3e-8, 2e-8])
+def test_orthonormal_extension_of_ill_conditioned_blocks(monkeypatch,
+                                                         residual):
+    """Cholesky-QR2 squares the condition number (here about 1 /
+    residual), so near the lost-column threshold the block goes to
+    Householder QR. Either way the result is orthonormal and spans the
+    block, whose columns are all kept: the residual is above 1e-8."""
+    calls = []
+    householder = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return householder(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    block = _leaning_block(residual)
+    q = _orthonormal_extension(block.copy(), np.empty((500, 0)),
+                               np.random.default_rng(1))
+    np.testing.assert_allclose(q.T @ q, np.eye(8), rtol=0, atol=1e-12)
+    outside = block - q @ (q.T @ block)
+    assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(block)
+    if residual == 1e-4:
+        assert calls == []
+    if residual == 2e-8:
+        assert calls
 
 
 def test_bksvd_rejects_bad_rank():

@@ -106,6 +106,31 @@ def test_absolute_tolerance_for_obs_overhead():
     assert _statuses(bad)["overhead"] == "regression"
 
 
+def _fit_scaling_record(svd_scale=1.0, **overrides):
+    record = {
+        "dim": 32, "edge_factor": 5, "available_cpus": 2,
+        "rows": [{"nodes": n, "edges": 5 * n,
+                  "default_seconds": round(n * 7e-5, 3),
+                  "svd_seconds": round(n * 3e-5 * svd_scale, 3),
+                  "propagation_seconds": round(n * 4e-6, 3),
+                  "reweighting_seconds": round(n * 3e-5, 3)}
+                 for n in (10_000, 25_000, 50_000)],
+    }
+    record.update(overrides)
+    return record
+
+
+def test_fit_scaling_on_other_cpu_count_is_incomparable():
+    spec = bench_compare.SPECS["fit_scaling.json"]
+    findings = bench_compare.compare_artifact(
+        "fit_scaling.json", _fit_scaling_record(),
+        _fit_scaling_record(svd_scale=3.0, available_cpus=4), spec)
+    assert findings
+    assert all(f["status"] == "incomparable" for f in findings)
+    assert findings[0]["context_mismatch"]["available_cpus"] == {
+        "baseline": 2, "candidate": 4}
+
+
 def test_missing_candidate_metric_is_reported():
     spec = {"context": [], "metrics": [("a.b", "lower", {"rel": 0.1})]}
     findings = bench_compare.compare_artifact(
@@ -146,6 +171,23 @@ def test_main_exits_nonzero_on_regression(tmp_path, capsys):
     assert report["regressions"] == 3
     out = capsys.readouterr().out
     assert "regression" in out
+
+
+def test_main_exits_nonzero_when_the_fit_svd_slows(tmp_path, capsys):
+    _write(tmp_path / "base" / "fit_scaling.json", _fit_scaling_record())
+    _write(tmp_path / "res" / "fit_scaling.json",
+           _fit_scaling_record(svd_scale=1.3))
+    code = bench_compare.main(
+        ["--results", str(tmp_path / "res"),
+         "--baselines", str(tmp_path / "base"),
+         "--artifacts", "fit_scaling.json",
+         "--output", str(tmp_path / "report.json")])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    regressed = {f["metric"] for f in report["findings"]
+                 if f["status"] == "regression"}
+    assert regressed == {f"rows.{i}.svd_seconds" for i in range(3)}
+    assert "regression" in capsys.readouterr().out
 
 
 def test_main_usage_errors_exit_two(tmp_path, capsys):

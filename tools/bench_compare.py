@@ -89,9 +89,10 @@ SPECS: dict[str, dict] = {
         ],
     },
     "fit_scaling.json": {
-        "context": ["dim", "edge_factor"],
+        "context": ["dim", "edge_factor", "available_cpus"],
         "metrics": [
             ("rows.*.default_seconds", "lower", {"rel": 0.25}),
+            ("rows.*.svd_seconds", "lower", {"rel": 0.25}),
         ],
     },
 }
