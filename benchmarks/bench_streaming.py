@@ -36,6 +36,7 @@ from repro import NRP
 from repro.bench import bench_scale, format_table
 from repro.datasets import load_evolving_dataset
 from repro.io import export_store
+from repro.parallel import available_cpus
 from repro.streaming import StreamingConfig, StreamingUpdater
 
 try:
@@ -127,6 +128,7 @@ def run_streaming(scale: float | None = None) -> dict:
     speedup = full_seconds / max(stream_seconds, 1e-9)
     record = {
         "dataset": DATASET, "scale": scale, "dim": DIM, "ell2": ELL2,
+        "cpus": available_cpus(),
         "num_nodes": graph.num_nodes, "old_edges": graph.num_edges,
         "new_edges": data.num_new_edges, "num_batches": len(batches),
         "batch_size": batch_size,

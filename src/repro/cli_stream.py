@@ -162,10 +162,12 @@ def _flush_batch(updater, batch: list[tuple[int, int, int]],
     # (which applies all inserts, then all deletes): '+ e' followed by
     # '- e' cancels and '- e' followed by '+ e' restores the base edge
     # — DeltaGraph's own net semantics — so order-dependent sequences
-    # like delete-then-reinsert survive the batching.
+    # like delete-then-reinsert survive the batching. On an undirected
+    # base (u, v) and (v, u) are one edge, so they share one net state.
+    directed = updater.graph.directed
     net: dict[tuple[int, int], int] = {}
     for s, u, v in batch:
-        key = (u, v)
+        key = (u, v) if directed else (min(u, v), max(u, v))
         level = net.get(key, 0) + s
         if abs(level) > 1:
             word = "inserts" if s > 0 else "deletes"

@@ -54,14 +54,16 @@ def changed_rows(old: Graph, new: Graph) -> np.ndarray:
         raise ParameterError(
             f"graphs have different node counts "
             f"({old.num_nodes} vs {new.num_nodes})")
-    n = old.num_nodes
-    old_src, old_dst = old.arcs()
-    new_src, new_dst = new.arcs()
-    old_keys = old_src * np.int64(n) + old_dst
-    new_keys = new_src * np.int64(n) + new_dst
-    gone = np.setdiff1d(old_keys, new_keys, assume_unique=True)
-    born = np.setdiff1d(new_keys, old_keys, assume_unique=True)
-    return np.unique(np.concatenate([gone, born]) // n)
+    # CSR rows are sorted, so a row is unchanged exactly when its degree
+    # is and its indices are equal position by position
+    d_old, d_new = old.out_degrees, new.out_degrees
+    same = d_old == d_new
+    changed = ~same
+    rows = np.repeat(np.arange(old.num_nodes), np.where(same, d_old, 0))
+    differs = (old.indices[np.repeat(same, d_old)]
+               != new.indices[np.repeat(same, d_new)])
+    changed[rows[differs]] = True
+    return np.flatnonzero(changed)
 
 
 class IncrementalPPR:

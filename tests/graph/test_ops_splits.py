@@ -31,6 +31,24 @@ def test_remove_missing_arc_is_noop(fig1):
     assert g.num_edges == fig1.num_edges
 
 
+@pytest.fixture()
+def path5():
+    """The directed path 0 -> 1 -> 2 -> 3 -> 4."""
+    return from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=True)
+
+
+@pytest.mark.parametrize("op", [remove_arcs, arc_index_of])
+@pytest.mark.parametrize("src, dst, match", [
+    ([0], [7], r"out of range \[0, 5\) in {op}"),   # key aliases (1, 2)
+    ([4], [-1], "out of range"),                    # key aliases (3, 4)
+    ([5], [0], "out of range"),
+    ([0, 1], [1], "equal length"),                  # used to broadcast
+])
+def test_arc_lookups_validate_like_add_arcs(path5, op, src, dst, match):
+    with pytest.raises(ParameterError, match=match.format(op=op.__name__)):
+        op(path5, src, dst)
+
+
 def test_arc_ids_unique(fig1):
     ids = arc_ids(fig1)
     assert len(np.unique(ids)) == fig1.num_arcs

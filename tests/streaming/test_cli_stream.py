@@ -147,32 +147,39 @@ def test_stream_missing_edgelist(tmp_path, capsys):
 
 def test_stream_delete_then_reinsert_in_one_batch(stream_inputs, tmp_path,
                                                   capsys):
-    """Order-dependent sequences net out instead of crashing the stream."""
+    """Order-dependent sequences net out instead of crashing the stream.
+
+    On the undirected base ``- u v`` then ``+ v u`` re-inserts the same
+    edge, so it nets out like ``- u v`` then ``+ u v``.
+    """
     graph, base_path, _, _ = stream_inputs
     old_src, old_dst = graph.edges()
     u, v = int(old_src[3]), int(old_dst[3])
-    deltas = tmp_path / "churn.txt"
-    deltas.write_text(f"- {u} {v}\n+ {u} {v}\n", encoding="utf-8")
-    root = tmp_path / "root"
-    rc = main([str(base_path), str(deltas), str(root),
-               "--dim", "16", "--ell2", "2", "--batch-size", "16"])
-    assert rc == 0
-    events = [json.loads(line)
-              for line in capsys.readouterr().out.strip().splitlines()]
-    batch = next(e for e in events if e["event"] == "batch")
-    assert batch["arc_deltas"] == 0          # netted to a no-op
-    assert events[-1]["num_edges"] == graph.num_edges
+    for i, back in enumerate((f"{u} {v}", f"{v} {u}")):
+        deltas = tmp_path / f"churn{i}.txt"
+        deltas.write_text(f"- {u} {v}\n+ {back}\n", encoding="utf-8")
+        root = tmp_path / f"root{i}"
+        rc = main([str(base_path), str(deltas), str(root),
+                   "--dim", "16", "--ell2", "2", "--batch-size", "16"])
+        assert rc == 0, back
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.strip().splitlines()]
+        batch = next(e for e in events if e["event"] == "batch")
+        assert batch["arc_deltas"] == 0          # netted to a no-op
+        assert events[-1]["num_edges"] == graph.num_edges
 
 
 def test_stream_double_insert_in_one_batch_rejected(stream_inputs, tmp_path,
                                                     capsys):
     _, base_path, _, _ = stream_inputs
-    deltas = tmp_path / "dup.txt"
-    deltas.write_text("+ 1 2\n+ 1 2\n", encoding="utf-8")
-    rc = main([str(base_path), str(deltas), str(tmp_path / "root"),
-               "--dim", "16", "--ell2", "2"])
-    assert rc == 2
-    assert "twice in a row" in capsys.readouterr().err
+    # undirected base: "+ 2 1" inserts the edge "+ 1 2" already inserted
+    for i, second in enumerate(("1 2", "2 1")):
+        deltas = tmp_path / f"dup{i}.txt"
+        deltas.write_text(f"+ 1 2\n+ {second}\n", encoding="utf-8")
+        rc = main([str(base_path), str(deltas), str(tmp_path / f"root{i}"),
+                   "--dim", "16", "--ell2", "2"])
+        assert rc == 2, second
+        assert "twice in a row" in capsys.readouterr().err
 
 
 def test_stream_metrics_json_and_interval(stream_inputs, tmp_path, capsys):

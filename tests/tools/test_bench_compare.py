@@ -131,6 +131,20 @@ def test_fit_scaling_on_other_cpu_count_is_incomparable():
         "baseline": 2, "candidate": 4}
 
 
+def test_streaming_on_other_cpu_count_is_incomparable():
+    spec = bench_compare.SPECS["streaming.json"]
+    base = {"dataset": "vk_sim", "scale": 1.0, "dim": 64,
+            "num_batches": 10, "cpus": 2, "stream_seconds": 1.0,
+            "speedup": 5.0}
+    findings = bench_compare.compare_artifact(
+        "streaming.json", base,
+        {**base, "cpus": 1, "stream_seconds": 2.0}, spec)
+    assert findings
+    assert all(f["status"] == "incomparable" for f in findings)
+    assert findings[0]["context_mismatch"]["cpus"] == {
+        "baseline": 2, "candidate": 1}
+
+
 def test_missing_candidate_metric_is_reported():
     spec = {"context": [], "metrics": [("a.b", "lower", {"rel": 0.1})]}
     findings = bench_compare.compare_artifact(
@@ -187,6 +201,24 @@ def test_main_exits_nonzero_when_the_fit_svd_slows(tmp_path, capsys):
     regressed = {f["metric"] for f in report["findings"]
                  if f["status"] == "regression"}
     assert regressed == {f"rows.{i}.svd_seconds" for i in range(3)}
+    assert "regression" in capsys.readouterr().out
+
+
+def test_main_exits_nonzero_when_streaming_slows(tmp_path, capsys):
+    baseline = json.loads((BASELINES / "streaming.json").read_text())
+    slower = {**baseline,
+              "stream_seconds": round(baseline["stream_seconds"] * 1.3, 3)}
+    _write(tmp_path / "res" / "streaming.json", slower)
+    code = bench_compare.main(
+        ["--results", str(tmp_path / "res"),
+         "--baselines", str(BASELINES),
+         "--artifacts", "streaming.json",
+         "--output", str(tmp_path / "report.json")])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    regressed = {f["metric"] for f in report["findings"]
+                 if f["status"] == "regression"}
+    assert regressed == {"stream_seconds"}
     assert "regression" in capsys.readouterr().out
 
 

@@ -82,7 +82,7 @@ SPECS: dict[str, dict] = {
         ],
     },
     "streaming.json": {
-        "context": ["dataset", "scale", "dim", "num_batches"],
+        "context": ["dataset", "scale", "dim", "num_batches", "cpus"],
         "metrics": [
             ("stream_seconds", "lower", {"rel": 0.25}),
             ("speedup", "higher", {"rel": 0.25}),
