@@ -130,14 +130,14 @@ def run_bench(scale: float | None = None) -> dict:
             leg(first)
             leg(second)
         # round out the snapshot with the non-serving tiers (untimed:
-        # kernel pushes and a cached engine, so the artifact shows
-        # per-regime counters and a cache hit rate too)
+        # a frontier spread and a cached engine, so the artifact shows
+        # kernel counters and a cache hit rate too)
         obs.set_enabled(True)
         from repro.graph import powerlaw_community
-        from repro.ppr import forward_push_batch
-        push_graph, _ = powerlaw_community(2000, 12000,
-                                           num_communities=4, seed=2)
-        forward_push_batch(push_graph, [0, 1, 2, 3], r_max=1e-6)
+        from repro.ppr import spread_frontier
+        spread_graph, _ = powerlaw_community(2000, 12000,
+                                             num_communities=4, seed=2)
+        spread_frontier(spread_graph, [0, 1, 2, 3], np.ones((4, DIM)))
         cached = ShardedQueryEngine(_database(n), shards=SHARDS,
                                     cache_size=256)
 
@@ -200,7 +200,7 @@ def test_obs_overhead_under_budget():
     # serving/router series, otherwise the bench measured nothing
     snap = json.loads((RESULTS_DIR / "obs_snapshot.json").read_text())
     counters = {c["name"] for c in snap["counters"]}
-    assert {"router_fanout_total", "kernel_regime_iterations_total",
+    assert {"router_fanout_total", "kernel_spread_frontier_total",
             "serving_cache_hits_total"} <= counters
     [topk] = [h for h in snap["histograms"]
               if h["name"] == "serving_topk_seconds"]

@@ -6,7 +6,7 @@ pipeline:
 
 1. enable collection (``obs.set_enabled``) and fit NRP on a synthetic
    community graph — the fit leaves a nested span tree (``nrp.fit`` ->
-   svd / propagation / reweighting) plus kernel counters behind;
+   svd / propagation / reweighting) behind;
 2. serve top-k queries through a sharded engine — per-shard fan-out
    spans, merge/straggler timings, and cache hit/miss counters
    accumulate per query;
@@ -43,7 +43,7 @@ def main() -> None:
     obs.configure_logging("info")
     obs.set_enabled(True)
 
-    # -- 1. fit: spans + kernel metrics accumulate -------------------
+    # -- 1. fit: a nested span tree accumulates ----------------------
     graph, _ = powerlaw_community(2000, 12000, num_communities=5, seed=7)
     model = NRP(dim=32, seed=0, keep_factor_state=True).fit(graph)
     print("== trace tree left behind by fit ==")

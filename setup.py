@@ -24,10 +24,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.22", "scipy>=1.8"],
     extras_require={"test": ["pytest"],
-                    "bench": ["pytest", "pytest-benchmark"],
-                    # optional njit push kernels (repro.ppr.kernels):
-                    # auto-detected at import, REPRO_KERNEL=numba selects
-                    "fast": ["numba>=0.57"]},
+                    "bench": ["pytest", "pytest-benchmark"]},
     entry_points={
         "console_scripts": [
             "repro-serve = repro.serving.cli:main",

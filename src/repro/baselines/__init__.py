@@ -25,14 +25,14 @@ from .prone import ProNE
 from .randne import RandNE
 from .rare import RaRE
 from .spectral import SpectralEmbedding
-from .strap import STRAP, pruned_ppr_matrix, pruned_ppr_matrix_push
+from .strap import STRAP, pruned_ppr_matrix
 from .verse import VERSE
 
 __all__ = [
     "BASELINE_REGISTRY", "BaselineEmbedder", "register", "make_embedder",
     "available_methods",
     "AROPE", "RandNE", "NetMF", "NetSMF", "ProNE", "STRAP",
-    "pruned_ppr_matrix", "pruned_ppr_matrix_push", "SpectralEmbedding",
+    "pruned_ppr_matrix", "SpectralEmbedding",
     "DeepWalk", "LINE", "Node2Vec", "PBG", "APP", "VERSE",
     "DNGR", "DRNE", "GraphGAN", "GraphAttention",
     "RaRE", "NetHiex", "GraphWave",

@@ -21,7 +21,7 @@ Design constraints, in order:
    else is stdlib.
 
 Labels: a series is ``(name, sorted(labels.items()))``. Keep label
-cardinality bounded (shard ids, kernel regimes — not node ids); every
+cardinality bounded (shard ids, refit reasons — not node ids); every
 distinct label set is one live object in the registry.
 """
 

@@ -1,160 +1,26 @@
-"""Frontier-synchronous batched push kernels for local PPR.
+"""The frontier spread: the inner step of the streaming residue repair.
 
-Every local-PPR path in the package (forward push, backward push, FORA,
-top-k, STRAP's per-target push, the streaming residue repair) bottoms
-out in the same two primitives: *push the whole active frontier* and
-*scatter shares to neighbors*. The seed implementations ran them one
-node at a time from a Python ``deque`` — correct, but orders of
-magnitude below what the hardware allows. This module provides the
-primitives as kernels that process the entire frontier per iteration
-with vectorized CSR gathers/scatters, plus multi-source batched entry
-points that amortize degree lookups and frontier bookkeeping across
-many sources at once (the standard route to large speedups over scalar
-push; see the PPR survey of Yang et al. 2024 and Lin's distributed
-fully-personalized PPR, PVLDB 2019).
+:class:`repro.streaming.IncrementalPPR` repairs its propagation iterate
+by pushing dense residue rows from a frontier of touched nodes to their
+in-neighbors, one sweep at a time. :func:`spread_frontier` evaluates one
+such sweep, ``decay * P[:, frontier] @ delta``, with vectorized CSR
+gathers over the frontier's in-arcs only: no sparse-matrix slicing and
+no ``O(n)`` buffers, so a sweep costs what the frontier's arcs cost.
 
-Three interchangeable backends, selected per call (``kernel=``), per
-process (``REPRO_KERNEL=scalar|numpy|numba``), or automatically:
-
-``scalar``
-    The seed one-node-at-a-time ``deque`` loop, kept as the reference
-    implementation and benchmark baseline (with the multigraph
-    duplicate-edge accumulation fix applied — see below).
-``numpy``
-    Frontier-synchronous: each iteration pushes *every* node above its
-    threshold at once. Three regimes picked per iteration by frontier
-    size (see the backend section below): vectorized CSR gathers with
-    ``np.add.at`` scatters for narrow frontiers, one sparse product for
-    middling ones, and dense memory-streaming sweeps for wide ones.
-    Pure NumPy/SciPy; the default when numba is absent.
-``numba``
-    The same frontier-synchronous sweep as an ``@njit``-compiled loop
-    (:func:`_forward_push_loop` / :func:`_backward_push_loop`, plain
-    nopython-compatible Python, also unit-tested uncompiled). Requires
-    the optional ``numba`` dependency (``pip install repro-nrp[fast]``);
-    auto-selected when importable.
-
-All backends preserve the seed's termination invariants exactly:
-
-* forward push uses the degree-scaled threshold — node ``v`` is pushed
-  while ``r(v) > r_max * max(d_out(v), 1)``;
-* a dangling node keeps its full residue as termination mass
-  (``estimate[v] += r(v)``, not just ``alpha * r(v)``);
-* backward push seeds a dangling *target* with residue ``1 / alpha``
-  (termination-PPR consistency, see ``backward_push.py``);
-* ``max_pushes`` counts individual node pushes per source, and budget
-  exhaustion leaves the un-pushed mass in the residue, so the push
-  invariant ``pi(s, .) = p(.) + sum_v r(v) pi(v, .)`` holds at any
-  stopping point under every backend.
-
-Push *order* differs between backends (deque order vs frontier sweeps),
-so results are not bitwise identical across kernels — they agree within
-the documented additive ``r_max`` bounds, which is what the property
-tests in ``tests/ppr/test_kernels.py`` pin.
-
-Multigraph correctness: the seed loops scattered shares with
-``residue[neighbors] += share``, which silently drops repeated indices
-on multigraph CSR rows (parallel edges). Every backend here accumulates
-duplicates (``np.add.at`` / ``bincount`` / explicit loops), so parallel
-arcs each deliver their share, consistent with
-:meth:`repro.graph.Graph.transition_matrix`.
+Multigraph rows keep one entry per parallel arc, and shares are
+accumulated with ``np.add.at``, so each parallel arc delivers its share,
+consistent with :meth:`repro.graph.Graph.transition_matrix`.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-
 import numpy as np
-import scipy.sparse as sp
 
 from .. import obs
 from ..errors import ParameterError
 from ..graph import Graph
 
-__all__ = [
-    "KERNELS", "HAS_NUMBA", "available_kernels", "default_kernel",
-    "resolve_kernel", "forward_push_batch", "backward_push_batch",
-    "spread_frontier",
-]
-
-#: Recognized kernel names, in "slowest first" order.
-KERNELS = ("scalar", "numpy", "numba")
-
-#: Environment variable consulted when no ``kernel=`` is passed.
-ENV_VAR = "REPRO_KERNEL"
-
-#: Effectively-unbounded push budget (the seed default).
-_DEFAULT_BUDGET = 10_000_000
-
-try:                                   # auto-detect the optional fast path
-    import numba as _numba             # noqa: F401
-    HAS_NUMBA = True
-except ImportError:                    # pure-NumPy fallback keeps it optional
-    _numba = None
-    HAS_NUMBA = False
-
-
-# ----------------------------------------------------------------------
-# kernel selection
-# ----------------------------------------------------------------------
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernel names usable in this process."""
-    if HAS_NUMBA:
-        return KERNELS
-    return tuple(k for k in KERNELS if k != "numba")
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Resolve a ``kernel=`` argument to a concrete backend name.
-
-    ``None`` defers to :func:`default_kernel` (the ``REPRO_KERNEL``
-    environment variable, then auto-detection); ``"auto"`` picks numba
-    when installed and numpy otherwise.
-    """
-    if kernel is None:
-        return default_kernel()
-    name = str(kernel).strip().lower()
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name not in KERNELS:
-        raise ParameterError(
-            f"unknown push kernel {kernel!r}; expected one of "
-            f"{KERNELS + ('auto',)}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ParameterError(
-            "kernel 'numba' requested but numba is not importable; "
-            "install the optional extra (pip install repro-nrp[fast]) "
-            "or select kernel='numpy'")
-    return name
-
-
-def default_kernel() -> str:
-    """Process-wide default: ``REPRO_KERNEL`` if set, else auto."""
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        return resolve_kernel(env)
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# ----------------------------------------------------------------------
-# shared validation / CSR gather plumbing
-# ----------------------------------------------------------------------
-
-def _validate_batch(graph: Graph, nodes, alpha: float, r_max: float,
-                    max_pushes: int | None, what: str) -> np.ndarray:
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must be in (0, 1)")
-    if r_max <= 0:
-        raise ParameterError("r_max must be positive")
-    if max_pushes is not None and max_pushes < 0:
-        raise ParameterError("max_pushes must be nonnegative")
-    arr = np.asarray(nodes, dtype=np.int64).ravel()
-    if len(arr) and (arr.min() < 0 or arr.max() >= graph.num_nodes):
-        raise ParameterError(
-            f"{what} out of range [0, {graph.num_nodes})")
-    return arr
+__all__ = ["spread_frontier"]
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -164,8 +30,7 @@ def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
 
 
 def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
-                 nodes: np.ndarray, counts: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate the CSR rows of ``nodes``.
 
     Returns ``(targets, counts)``: the column indices of all rows back
@@ -173,583 +38,13 @@ def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
     rows keep one entry per parallel arc).
     """
     starts = indptr[nodes]
-    if counts is None:
-        counts = indptr[nodes + 1] - starts
+    counts = indptr[nodes + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), counts
     shift = np.repeat(starts - _exclusive_cumsum(counts), counts)
     return indices[np.arange(total, dtype=np.int64) + shift], counts
 
-
-def _scatter_candidates(flat: np.ndarray, keys: np.ndarray,
-                        vals: np.ndarray) -> np.ndarray:
-    """Accumulate ``vals`` into ``flat[keys]`` (duplicates summed) and
-    return the touched keys, deduplicated and sorted."""
-    np.add.at(flat, keys, vals)
-    keys = np.sort(keys)
-    if len(keys) > 1:
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-    return keys
-
-
-def _budget_truncate(slots, pushes, budget):
-    """Keep, per slot, only as many frontier entries as budget remains.
-
-    ``slots`` must be sorted ascending (frontier keys are slot-major).
-    Returns a boolean keep-mask; dropped entries belong to slots whose
-    budget the kept prefix exhausts, so they simply stay in the residue
-    — exactly how the scalar loop stops mid-queue.
-    """
-    starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-    group_len = np.diff(np.r_[starts, len(slots)])
-    pos = np.arange(len(slots), dtype=np.int64) - np.repeat(starts, group_len)
-    return pos < (budget - pushes)[slots]
-
-
-# ----------------------------------------------------------------------
-# scalar reference backend (the seed loop, multigraph-safe)
-# ----------------------------------------------------------------------
-
-def _forward_push_scalar(graph: Graph, source: int, alpha: float,
-                         r_max: float, budget: int,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    n = graph.num_nodes
-    degrees = graph.out_degrees
-    estimate = np.zeros(n)
-    residue = np.zeros(n)
-    residue[source] = 1.0
-    queue: deque[int] = deque([int(source)])
-    in_queue = np.zeros(n, dtype=bool)
-    in_queue[source] = True
-    pushes = 0
-    while queue and pushes < budget:
-        v = queue.popleft()
-        in_queue[v] = False
-        r_v = residue[v]
-        deg = degrees[v]
-        if r_v <= r_max * max(deg, 1):
-            continue
-        pushes += 1
-        residue[v] = 0.0
-        estimate[v] += alpha * r_v
-        if deg == 0:
-            # dangling: the walk terminates here with the full residue
-            estimate[v] += (1.0 - alpha) * r_v
-            continue
-        share = (1.0 - alpha) * r_v / deg
-        neighbors = graph.out_neighbors(v)
-        if len(neighbors) > 1 and np.any(neighbors[1:] == neighbors[:-1]):
-            np.add.at(residue, neighbors, share)   # multigraph row
-        else:
-            residue[neighbors] += share
-        r_nb = residue[neighbors]
-        for u in neighbors[r_nb > r_max * np.maximum(degrees[neighbors], 1)]:
-            if not in_queue[u]:
-                queue.append(int(u))
-                in_queue[u] = True
-    return estimate, residue
-
-
-def _backward_push_scalar(graph: Graph, target: int, alpha: float,
-                          r_max: float, budget: int,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    n = graph.num_nodes
-    transpose = graph.transpose()
-    out_deg = graph.out_degrees
-    estimate = np.zeros(n)
-    residue = np.zeros(n)
-    residue[target] = 1.0 if out_deg[target] > 0 else 1.0 / alpha
-    queue: deque[int] = deque([int(target)])
-    in_queue = np.zeros(n, dtype=bool)
-    in_queue[target] = True
-    pushes = 0
-    while queue and pushes < budget:
-        v = queue.popleft()
-        in_queue[v] = False
-        r_v = residue[v]
-        if r_v <= r_max:
-            continue
-        pushes += 1
-        residue[v] = 0.0
-        estimate[v] += alpha * r_v
-        in_neighbors = transpose.out_neighbors(v)
-        if len(in_neighbors) == 0:
-            continue
-        vals = (1.0 - alpha) * r_v / out_deg[in_neighbors]
-        if len(in_neighbors) > 1 and np.any(
-                in_neighbors[1:] == in_neighbors[:-1]):
-            np.add.at(residue, in_neighbors, vals)   # multigraph row
-        else:
-            residue[in_neighbors] += vals
-        r_nb = residue[in_neighbors]
-        for u in in_neighbors[r_nb > r_max]:
-            if not in_queue[u]:
-                queue.append(int(u))
-                in_queue[u] = True
-    return estimate, residue
-
-
-# ----------------------------------------------------------------------
-# numpy frontier-synchronous backend
-# ----------------------------------------------------------------------
-#
-# Each iteration pushes the entire above-threshold frontier at once.
-# Three regimes, switched per iteration by frontier size (the
-# direction-optimizing pattern of frontier-batched push):
-#
-# * narrow — residues live in flat slot-major buffers; the frontier's
-#   CSR rows are gathered into one index array and shares scattered
-#   with ``np.add.at``; candidate bookkeeping by sort-dedupe. Cost
-#   proportional to the frontier's arcs only, so a local push
-#   (FORA-sized ``r_max`` on a huge graph) never touches ``O(b n)``.
-# * middle — same flat buffers, but the frontier is assembled into a
-#   sparse ``(b, n)`` matrix and one sparse-sparse product ``F @ M``
-#   performs the gather, the scatter, the duplicate merge, *and* hands
-#   back the touched (slot, node) pairs as the product's CSR structure.
-#   Still arc-proportional, with scipy's C kernel doing the work.
-# * wide — residues move to a dense node-major ``(n, b)`` block; one
-#   iteration is a handful of elementwise passes plus one blocked CSR
-#   mat-vec (``M^T @ R`` through the csc view of the same operator)
-#   over all ``b`` slots at once. Every pass streams memory
-#   sequentially — no random scatters into a 100-MB buffer — which is
-#   what makes deep pushes (small ``r_max``) run at memory bandwidth.
-#
-# A per-source ``max_pushes`` budget disables the wide regime (a dense
-# sweep cannot stop mid-frontier per slot); budgets are a correctness
-# knob, not a throughput path.
-
-#: Frontier-arc count (relative to n) above which the spgemm (middle)
-#: regime replaces np.add.at scatters.
-_SPGEMM_FRACTION = 0.02
-
-#: Frontier (slot, node) pair count (relative to b * n) at which the
-#: dense wide regime is entered, and the exit threshold's divisor
-#: (entering needs a denser frontier than staying: cheap hysteresis
-#: against flapping between representations).
-_WIDE_ENTER_DIVISOR = 6
-_WIDE_EXIT_DIVISOR = 16
-
-
-def _push_numpy(n: int, b: int, sources: np.ndarray, seeds_vals: np.ndarray,
-                thresh, alpha: float, budget: int | None,
-                row_indptr: np.ndarray, row_indices: np.ndarray,
-                arc_weights, make_mat, degrees: np.ndarray | None,
-                direction: str = "forward",
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared three-regime frontier loop for both push directions.
-
-    ``row_indptr``/``row_indices`` describe the rows shares spread
-    along in the narrow regime (out-CSR forward, in-CSR backward);
-    ``arc_weights`` is the per-arc multiplier of those rows (``1/d_out``
-    of the *receiving* node, backward only — forward folds ``1/deg`` of
-    the *pushed* node into the share, signalled by ``degrees``).
-    ``make_mat`` lazily builds the shared CSR spread operator ``M``
-    (``P`` forward, ``P^T`` backward): the middle regime computes
-    ``F @ M``, the wide one ``M^T @ R`` via the csc view. ``thresh`` is
-    a per-node array (forward's degree scaling) or a plain float.
-    ``degrees`` also enables forward's dangling termination mass.
-    """
-    size = b * n
-    estimate = np.zeros(size)
-    residue = np.zeros(size)
-    keys = np.arange(b, dtype=np.int64) * n + sources
-    residue[keys] = seeds_vals
-    per_node = isinstance(thresh, np.ndarray)
-    may_dangle = degrees is not None and bool((degrees == 0).any())
-    if degrees is not None:
-        # estimate multiplier per pushed node: alpha everywhere, the
-        # full residue (termination mass) at dangling nodes
-        est_scale = np.full(n, alpha)
-        if may_dangle:
-            est_scale[degrees == 0] = 1.0
-    pushes = np.zeros(b, dtype=np.int64) if budget is not None else None
-    spgemm_at = max(32, int(_SPGEMM_FRACTION * n))
-    wide_enter = max(64, size // _WIDE_ENTER_DIVISOR)
-    wide_exit = max(64, size // _WIDE_EXIT_DIVISOR)
-    decay = 1.0 - alpha
-    mat = None
-    dense = False
-    # regime bookkeeping: plain int increments every iteration (cheap),
-    # flushed to the metrics registry once at exit when obs is enabled
-    it_narrow = it_middle = it_wide = 0
-    frontier_peak = 0
-    r2 = e2 = None           # (n, b) node-major views of the wide regime
-    while True:
-        if not dense:
-            # ------------- flat regimes: np.add.at (narrow) / spgemm
-            if len(keys) == 0:
-                break
-            slots = keys // n
-            nodes = keys - slots * n
-            r = residue[keys]
-            mask = r > (thresh[nodes] if per_node else thresh)
-            if budget is not None:
-                mask &= pushes[slots] < budget
-            if not mask.all():
-                slots, nodes, keys, r = (slots[mask], nodes[mask],
-                                         keys[mask], r[mask])
-            if len(keys) and budget is not None:
-                keep = _budget_truncate(slots, pushes, budget)
-                if not keep.all():
-                    slots, nodes, keys, r = (slots[keep], nodes[keep],
-                                             keys[keep], r[keep])
-            if len(keys) == 0:
-                break
-            if budget is not None:
-                pushes += np.bincount(slots, minlength=b)
-            residue[keys] = 0.0
-            estimate[keys] += alpha * r
-            if may_dangle:
-                dangling = degrees[nodes] == 0
-                if dangling.any():
-                    # dangling: the walk terminates with the full residue
-                    estimate[keys[dangling]] += decay * r[dangling]
-                    act = ~dangling
-                    slots, nodes, r = slots[act], nodes[act], r[act]
-                    if len(nodes) == 0:
-                        break
-            if len(nodes) > frontier_peak:
-                frontier_peak = len(nodes)
-            counts = row_indptr[nodes + 1] - row_indptr[nodes]
-            total_arcs = int(counts.sum())
-            if total_arcs == 0:
-                break
-            if total_arcs < spgemm_at:
-                it_narrow += 1
-                # narrow: explicit gather + np.add.at + sort-dedupe
-                targets, counts = _gather_rows(row_indptr, row_indices,
-                                               nodes, counts)
-                shares = decay * np.repeat(r, counts)
-                if degrees is not None:
-                    shares /= np.repeat(degrees[nodes], counts)
-                if arc_weights is not None:
-                    shares *= arc_weights[targets]
-                keys = _scatter_candidates(
-                    residue, np.repeat(slots, counts) * n + targets,
-                    shares)
-            else:
-                # middle: one sparse product scatters + finds frontier
-                it_middle += 1
-                if mat is None:
-                    mat = make_mat()
-                f_indptr = np.zeros(b + 1, dtype=np.int64)
-                np.cumsum(np.bincount(slots, minlength=b),
-                          out=f_indptr[1:])
-                frontier = sp.csr_matrix((decay * r, nodes, f_indptr),
-                                         shape=(b, n))
-                spread = frontier @ mat
-                nodes = spread.indices.astype(np.int64, copy=False)
-                slots = np.repeat(np.arange(b, dtype=np.int64),
-                                  np.diff(spread.indptr))
-                keys = slots * n + nodes
-                residue[keys] += spread.data   # product keys are unique
-            if budget is None and len(keys) >= wide_enter:
-                # node-major copies so the mat-vec streams contiguously
-                r2 = np.ascontiguousarray(residue.reshape(b, n).T)
-                e2 = np.ascontiguousarray(estimate.reshape(b, n).T)
-                dense = True
-        else:
-            # ---------------- wide regime: dense (n, b) sweeps
-            mask = r2 > (thresh[:, None] if per_node else thresh)
-            count = np.count_nonzero(mask)
-            if count < wide_exit:
-                # hand the tail back to the flat regimes
-                estimate = e2.T.copy().reshape(size)
-                residue = r2.T.copy().reshape(size)
-                dense = False
-                if count == 0:
-                    break
-                frontier_nodes, frontier_slots = np.nonzero(mask)
-                keys = np.sort(frontier_slots * n + frontier_nodes)
-                continue
-            it_wide += 1
-            if count > frontier_peak:
-                frontier_peak = count
-            pushed = np.where(mask, r2, 0.0)
-            r2[mask] = 0.0
-            if mat is None:
-                mat = make_mat()
-            spread = mat.T @ pushed        # csc view: same operator
-            if degrees is not None:
-                np.multiply(pushed, est_scale[:, None], out=pushed)
-            else:
-                np.multiply(pushed, alpha, out=pushed)
-            e2 += pushed
-            np.multiply(spread, decay, out=spread)
-            r2 += spread
-    if dense:
-        estimate = e2.T.copy().reshape(size)
-        residue = r2.T.copy().reshape(size)
-    if obs.enabled():
-        registry = obs.get_registry()
-        for regime, iters in (("narrow", it_narrow), ("middle", it_middle),
-                              ("wide", it_wide)):
-            if iters:
-                registry.counter(
-                    "kernel_regime_iterations_total",
-                    {"regime": regime, "direction": direction}).inc(iters)
-        registry.histogram("kernel_iterations",
-                           {"direction": direction}).observe(
-            it_narrow + it_middle + it_wide)
-        registry.gauge("kernel_frontier_peak",
-                       {"direction": direction}).set(frontier_peak)
-    return estimate.reshape(b, n), residue.reshape(b, n)
-
-
-def _forward_numpy(graph: Graph, sources: np.ndarray, alpha: float,
-                   r_max: float, budget: int | None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    n = graph.num_nodes
-    degrees = graph.out_degrees
-    thresh = r_max * np.maximum(degrees, 1).astype(np.float64)
-    return _push_numpy(
-        n, len(sources), sources, np.ones(len(sources)), thresh, alpha,
-        budget, graph.indptr, graph.indices, None,
-        graph.transition_matrix,      # M = P carries the 1/deg weights
-        degrees, direction="forward")
-
-
-def _backward_numpy(graph: Graph, targets: np.ndarray, alpha: float,
-                    r_max: float, budget: int | None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    n = graph.num_nodes
-    transpose = graph.transpose()
-    inv_out = graph.out_degree_inverse()
-    # dangling targets seed 1/alpha (termination-PPR consistency; see
-    # the module docstring and backward_push.py)
-    seeds_vals = np.where(graph.out_degrees[targets] > 0, 1.0, 1.0 / alpha)
-
-    def make_mat() -> sp.csr_matrix:
-        # M = P^T: row v lists in-neighbors u, each weighted 1/d_out(u)
-        return sp.csr_matrix(
-            (inv_out[transpose.indices], transpose.indices,
-             transpose.indptr), shape=(n, n))
-
-    return _push_numpy(
-        n, len(targets), targets, seeds_vals, float(r_max), alpha, budget,
-        transpose.indptr, transpose.indices, inv_out, make_mat, None,
-        direction="backward")
-
-
-# ----------------------------------------------------------------------
-# numba backend: nopython-compatible loops, compiled on demand.
-# These run (slowly) as plain Python too, which is how the fast suite
-# unit-tests their logic without the optional dependency installed.
-# ----------------------------------------------------------------------
-
-def _forward_push_loop(indptr, indices, degrees, sources, n, alpha, r_max,
-                       budget, estimate, residue):
-    """Frontier-synchronous forward push over flat ``(b * n,)`` buffers."""
-    b = sources.shape[0]
-    cur = np.empty(n, dtype=np.int64)
-    nxt = np.empty(n, dtype=np.int64)
-    in_nxt = np.zeros(n, dtype=np.uint8)
-    for s in range(b):
-        off = s * n
-        residue[off + sources[s]] = 1.0
-        cur[0] = sources[s]
-        cur_len = 1
-        pushes = 0
-        while cur_len > 0 and pushes < budget:
-            nxt_len = 0
-            for i in range(cur_len):
-                v = cur[i]
-                r_v = residue[off + v]
-                deg = degrees[v]
-                scale = deg if deg > 1 else 1
-                if r_v <= r_max * scale or pushes >= budget:
-                    continue
-                pushes += 1
-                residue[off + v] = 0.0
-                estimate[off + v] += alpha * r_v
-                if deg == 0:
-                    estimate[off + v] += (1.0 - alpha) * r_v
-                    continue
-                share = (1.0 - alpha) * r_v / deg
-                for j in range(indptr[v], indptr[v + 1]):
-                    u = indices[j]
-                    residue[off + u] += share
-                    du = degrees[u]
-                    su = du if du > 1 else 1
-                    if residue[off + u] > r_max * su and in_nxt[u] == 0:
-                        in_nxt[u] = 1
-                        nxt[nxt_len] = u
-                        nxt_len += 1
-            for i in range(nxt_len):
-                in_nxt[nxt[i]] = 0
-            tmp = cur
-            cur = nxt
-            nxt = tmp
-            cur_len = nxt_len
-
-
-def _backward_push_loop(t_indptr, t_indices, inv_out, seeds, targets, n,
-                        alpha, r_max, budget, estimate, residue):
-    """Frontier-synchronous backward push over flat ``(b * n,)`` buffers."""
-    b = targets.shape[0]
-    cur = np.empty(n, dtype=np.int64)
-    nxt = np.empty(n, dtype=np.int64)
-    in_nxt = np.zeros(n, dtype=np.uint8)
-    for s in range(b):
-        off = s * n
-        residue[off + targets[s]] = seeds[s]
-        cur[0] = targets[s]
-        cur_len = 1
-        pushes = 0
-        while cur_len > 0 and pushes < budget:
-            nxt_len = 0
-            for i in range(cur_len):
-                v = cur[i]
-                r_v = residue[off + v]
-                if r_v <= r_max or pushes >= budget:
-                    continue
-                pushes += 1
-                residue[off + v] = 0.0
-                estimate[off + v] += alpha * r_v
-                for j in range(t_indptr[v], t_indptr[v + 1]):
-                    u = t_indices[j]
-                    residue[off + u] += (1.0 - alpha) * r_v * inv_out[u]
-                    if residue[off + u] > r_max and in_nxt[u] == 0:
-                        in_nxt[u] = 1
-                        nxt[nxt_len] = u
-                        nxt_len += 1
-            for i in range(nxt_len):
-                in_nxt[nxt[i]] = 0
-            tmp = cur
-            cur = nxt
-            nxt = tmp
-            cur_len = nxt_len
-
-
-_JIT: dict | None = None
-
-
-def _jit_kernels() -> dict:
-    """Compile (once) and return the njit-wrapped push loops."""
-    global _JIT
-    if _JIT is None:
-        import numba
-        jit = numba.njit(cache=False, nogil=True)
-        _JIT = {"forward": jit(_forward_push_loop),
-                "backward": jit(_backward_push_loop)}
-    return _JIT
-
-
-def _forward_numba(graph: Graph, sources: np.ndarray, alpha: float,
-                   r_max: float, budget: int | None,
-                   ) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
-    b, n = len(sources), graph.num_nodes
-    estimate = np.zeros(b * n)
-    residue = np.zeros(b * n)
-    _jit_kernels()["forward"](
-        graph.indptr, graph.indices, graph.out_degrees, sources, n,
-        float(alpha), float(r_max),
-        _DEFAULT_BUDGET if budget is None else int(budget),
-        estimate, residue)
-    return estimate.reshape(b, n), residue.reshape(b, n)
-
-
-def _backward_numba(graph: Graph, targets: np.ndarray, alpha: float,
-                    r_max: float, budget: int | None,
-                    ) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
-    b, n = len(targets), graph.num_nodes
-    transpose = graph.transpose()
-    seeds = np.where(graph.out_degrees[targets] > 0, 1.0, 1.0 / alpha)
-    estimate = np.zeros(b * n)
-    residue = np.zeros(b * n)
-    _jit_kernels()["backward"](
-        transpose.indptr, transpose.indices, graph.out_degree_inverse(),
-        seeds, targets, n, float(alpha), float(r_max),
-        _DEFAULT_BUDGET if budget is None else int(budget),
-        estimate, residue)
-    return estimate.reshape(b, n), residue.reshape(b, n)
-
-
-# ----------------------------------------------------------------------
-# public batched API
-# ----------------------------------------------------------------------
-
-def forward_push_batch(graph: Graph, sources, alpha: float = 0.15, *,
-                       r_max: float = 1e-6, max_pushes: int | None = None,
-                       kernel: str | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward push from many sources at once.
-
-    Returns ``(estimate, residue)``, each ``(len(sources), n)``; row
-    ``i`` obeys every invariant of single-source
-    :func:`repro.ppr.forward_push` for ``sources[i]`` (``estimate <=
-    pi`` elementwise, ``pi - estimate <= sum(residue)``, mass
-    conserved). ``max_pushes`` is a *per-source* budget, matching the
-    scalar function.
-    """
-    sources = _validate_batch(graph, sources, alpha, r_max, max_pushes,
-                              "source")
-    b, n = len(sources), graph.num_nodes
-    kern = resolve_kernel(kernel)
-    if obs.enabled():
-        registry = obs.get_registry()
-        registry.counter("kernel_invocations_total",
-                         {"kernel": kern, "direction": "forward"}).inc()
-        registry.histogram("kernel_batch_size",
-                           {"direction": "forward"}).observe(b)
-    if b == 0 or n == 0:
-        return np.zeros((b, n)), np.zeros((b, n))
-    budget = None if max_pushes is None else int(max_pushes)
-    if kern == "scalar":
-        estimate = np.zeros((b, n))
-        residue = np.zeros((b, n))
-        scalar_budget = _DEFAULT_BUDGET if budget is None else budget
-        for i, source in enumerate(sources):
-            estimate[i], residue[i] = _forward_push_scalar(
-                graph, int(source), alpha, r_max, scalar_budget)
-        return estimate, residue
-    if kern == "numba":
-        return _forward_numba(graph, sources, alpha, r_max, budget)
-    return _forward_numpy(graph, sources, alpha, r_max, budget)
-
-
-def backward_push_batch(graph: Graph, targets, alpha: float = 0.15, *,
-                        r_max: float = 1e-4, max_pushes: int | None = None,
-                        kernel: str | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward push toward many targets at once.
-
-    Returns ``(estimate, residue)``, each ``(len(targets), n)``; row
-    ``i`` estimates the PPR *column* ``pi(., targets[i])`` with
-    ``estimate[s] <= pi(s, t) <= estimate[s] + r_max`` at termination,
-    exactly like single-target :func:`repro.ppr.backward_push`
-    (including the ``1/alpha`` dangling-target residue seeding).
-    """
-    targets = _validate_batch(graph, targets, alpha, r_max, max_pushes,
-                              "target")
-    b, n = len(targets), graph.num_nodes
-    kern = resolve_kernel(kernel)
-    if obs.enabled():
-        registry = obs.get_registry()
-        registry.counter("kernel_invocations_total",
-                         {"kernel": kern, "direction": "backward"}).inc()
-        registry.histogram("kernel_batch_size",
-                           {"direction": "backward"}).observe(b)
-    if b == 0 or n == 0:
-        return np.zeros((b, n)), np.zeros((b, n))
-    budget = None if max_pushes is None else int(max_pushes)
-    if kern == "scalar":
-        estimate = np.zeros((b, n))
-        residue = np.zeros((b, n))
-        scalar_budget = _DEFAULT_BUDGET if budget is None else budget
-        for i, target in enumerate(targets):
-            estimate[i], residue[i] = _backward_push_scalar(
-                graph, int(target), alpha, r_max, scalar_budget)
-        return estimate, residue
-    if kern == "numba":
-        return _backward_numba(graph, targets, alpha, r_max, budget)
-    return _backward_numpy(graph, targets, alpha, r_max, budget)
-
-
-# ----------------------------------------------------------------------
-# frontier spread (the streaming residue repair's inner step)
-# ----------------------------------------------------------------------
 
 def spread_frontier(graph: Graph, frontier, delta: np.ndarray, *,
                     decay: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -758,8 +53,8 @@ def spread_frontier(graph: Graph, frontier, delta: np.ndarray, *,
     ``delta`` holds one length-``k`` residue row per frontier node; the
     sweep moves row ``v`` to every in-neighbor ``u`` scaled by
     ``decay / d_out(u)`` — the multi-column analogue of a backward push
-    step, evaluated with the same CSR gather/scatter plumbing as the
-    push kernels (no sparse-matrix slicing, no ``O(n)`` buffers).
+    step, evaluated by gathering the frontier's CSR rows of the
+    transpose (no sparse-matrix slicing, no ``O(n)`` buffers).
     Returns ``(rows, spread)``: the sorted affected row indices and
     their dense ``(len(rows), k)`` contributions.
     """

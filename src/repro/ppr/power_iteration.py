@@ -40,11 +40,16 @@ def ppr_rows(graph: Graph, sources: np.ndarray, alpha: float = 0.15, *,
 
     Iterates the series of Eq. (1) term by term; the residual mass after
     ``t`` terms is ``(1 - alpha)^(t+1)`` so convergence to ``tol`` needs
-    ``log(tol) / log(1 - alpha)`` iterations.
+    ``log(tol) / log(1 - alpha)`` iterations. A source outside
+    ``[0, n)`` or ``max_iters < 1`` raises :class:`ParameterError`.
     """
     _check_alpha(alpha)
+    if max_iters < 1:
+        raise ParameterError("max_iters must be >= 1")
     sources = np.asarray(sources, dtype=np.int64)
     n = graph.num_nodes
+    if len(sources) and (sources.min() < 0 or sources.max() >= n):
+        raise ParameterError(f"source out of range [0, {n})")
     p = graph.transition_matrix()
     dangling = np.flatnonzero(graph.out_degrees == 0)
     walk = np.zeros((len(sources), n))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import (BASELINE_REGISTRY, STRAP, AROPE,
                              available_methods, make_embedder,
-                             pruned_ppr_matrix, pruned_ppr_matrix_push)
+                             pruned_ppr_matrix)
 from repro.errors import ParameterError, ReproError
 from repro.ppr import ppr_matrix_dense
 
@@ -91,24 +91,18 @@ def test_lp_scoring_declarations():
 
 # ----------------------------------------------------------------- STRAP
 def test_pruned_ppr_matrix_close_to_exact(fig1):
+    """Close to exact PPR, never above it: pruning only drops mass."""
     pi = ppr_matrix_dense(fig1, 0.15)
-    approx = pruned_ppr_matrix(fig1, 0.15, delta=1e-7).toarray()
-    assert np.abs(pi - approx).max() < 1e-4
+    for delta in (1e-7, 1e-6):
+        approx = pruned_ppr_matrix(fig1, 0.15, delta=delta).toarray()
+        assert np.abs(pi - approx).max() < 1e-4
+        assert np.all(approx <= pi + 1e-12)
 
 
 def test_pruned_ppr_matrix_threshold(fig1):
     delta = 1e-2
     approx = pruned_ppr_matrix(fig1, 0.15, delta=delta)
     assert approx.data.min() >= delta / 2.0
-
-
-def test_pruned_ppr_agrees_with_backward_push(fig1):
-    """The STRAP substitution: pruned power iteration vs per-node push."""
-    from repro.ppr import backward_push
-    approx = pruned_ppr_matrix(fig1, 0.15, delta=1e-6).toarray()
-    for target in range(9):
-        push, _ = backward_push(fig1, target, 0.15, r_max=1e-8)
-        np.testing.assert_allclose(approx[:, target], push, atol=1e-4)
 
 
 def test_strap_uses_transpose_proximity(small_directed):
@@ -131,46 +125,13 @@ def test_strap_uses_transpose_proximity(small_directed):
 def test_strap_rejects_bad_delta(fig1):
     with pytest.raises(ParameterError):
         pruned_ppr_matrix(fig1, 0.15, delta=0.0)
-    with pytest.raises(ParameterError):
-        pruned_ppr_matrix_push(fig1, 0.15, delta=0.0)
-    with pytest.raises(ParameterError):
-        pruned_ppr_matrix_push(fig1, 0.15, delta=1e-4, batch_size=0)
-    with pytest.raises(ParameterError):
-        STRAP(dim=8, solver="quantum")
 
 
-def test_pruned_push_matrix_matches_exact_within_delta(fig1):
-    """The kernel-backed per-target push matrix: entries within the
-    additive backward-push bound (delta/2), nothing kept below delta/2."""
-    delta = 1e-4
-    pi = ppr_matrix_dense(fig1, 0.15)
-    approx = pruned_ppr_matrix_push(fig1, 0.15, delta=delta, batch_size=4)
-    dense = approx.toarray()
-    assert np.all(dense <= pi + 1e-10)
-    assert np.max(pi - dense) <= delta + 1e-10
-    assert approx.data.min() >= delta / 2.0
-
-
-def test_pruned_push_agrees_with_power_solver(fig1):
-    """Both STRAP matrix builders approximate the same Pi."""
-    power = pruned_ppr_matrix(fig1, 0.15, delta=1e-6).toarray()
-    push = pruned_ppr_matrix_push(fig1, 0.15, delta=1e-6).toarray()
-    np.testing.assert_allclose(power, push, atol=1e-4)
-
-
-def test_strap_push_solver_embeds_like_power(small_directed):
-    """STRAP(solver='push') trains on the push-built matrix and ranks
-    transpose-proximity pairs just like the power-iteration solver."""
-    model = STRAP(dim=32, delta=1e-4, solver="push", seed=0)
-    model.fit(small_directed)
-    pi = ppr_matrix_dense(small_directed, 0.15)
-    target = pi + pi.T
-    n = small_directed.num_nodes
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, n, size=(800, 2))
-    scores = model.score_pairs(idx[:, 0], idx[:, 1])
-    truth = np.array([target[i, j] for i, j in idx])
-    assert np.corrcoef(scores, truth)[0, 1] > 0.4
+@pytest.mark.parametrize("removed", ["solver", "kernel"])
+def test_strap_rejects_removed_arguments(removed):
+    """One PPR builder: the push solver and its kernel knob are gone."""
+    with pytest.raises(TypeError, match=removed):
+        STRAP(dim=8, **{removed: "push"})
 
 
 # ----------------------------------------------------------------- AROPE

@@ -6,7 +6,7 @@ from harness import run_storm
 
 from repro import NRP, obs
 from repro.graph import from_edges
-from repro.ppr.kernels import forward_push_batch, spread_frontier
+from repro.ppr.kernels import spread_frontier
 from repro.serving.engine import CacheStats
 from repro.serving.router import ShardedQueryEngine
 from repro.streaming import StreamingConfig, StreamingUpdater
@@ -81,34 +81,13 @@ def test_cache_stats_zero_requests_hit_rate():
 
 
 # ------------------------------------------------------------ kernel tier
-def test_kernel_counters_and_iterations(tiny_directed):
+def test_spread_frontier_counters(tiny_directed):
     with obs.capture() as reg:
-        forward_push_batch(tiny_directed, [0, 1], r_max=1e-4,
-                           kernel="numpy")
         spread_frontier(tiny_directed, [0], np.ones((1, 3)))
-    inv = reg.counter("kernel_invocations_total",
-                      {"kernel": "numpy", "direction": "forward"})
-    assert inv.value == 1
-    assert reg.histogram("kernel_batch_size",
-                         {"direction": "forward"}).count == 1
-    iters = reg.histogram("kernel_iterations", {"direction": "forward"})
-    assert iters.count == 1 and iters.sum >= 1
-    # a tiny graph's frontier stays narrow; the regime counter says so
-    narrow = reg.counter("kernel_regime_iterations_total",
-                         {"regime": "narrow", "direction": "forward"})
-    assert narrow.value >= 1
-    assert reg.gauge("kernel_frontier_peak",
-                     {"direction": "forward"}).value >= 1
-    assert reg.counter("kernel_spread_frontier_total").value == 1
-    assert reg.histogram("kernel_spread_frontier_rows").count == 1
-
-
-def test_kernel_scalar_backend_counts_invocations(tiny_directed):
-    with obs.capture() as reg:
-        forward_push_batch(tiny_directed, [0], r_max=1e-3, kernel="scalar")
-    assert reg.counter("kernel_invocations_total",
-                       {"kernel": "scalar",
-                        "direction": "forward"}).value == 1
+        spread_frontier(tiny_directed, [0, 2, 3], np.ones((3, 3)))
+    assert reg.counter("kernel_spread_frontier_total").value == 2
+    rows = reg.histogram("kernel_spread_frontier_rows")
+    assert rows.count == 2 and rows.sum == 4
 
 
 # --------------------------------------------------------- streaming tier

@@ -1,11 +1,8 @@
-"""Property-based invariants shared by every PPR backend.
+"""Property-based invariants of the exact PPR solver.
 
-The five solvers (power iteration, forward push, backward push, FORA,
-Monte-Carlo) estimate the same termination-PPR object, so on random
-graphs they must agree within their published error bounds, produce
-nonnegative rows that sum to ~1, and treat dangling nodes identically
-(a walk at a dangling node terminates there, so ``pi(s, .) = e_s`` for
-a dangling source under every backend).
+Power iteration computes termination PPR: on random graphs its rows are
+nonnegative and sum to ~1, and a walk at a dangling node terminates
+there, so ``pi(s, .) = e_s`` for a dangling source.
 """
 
 import numpy as np
@@ -14,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import erdos_renyi, from_edges
-from repro.ppr import (available_kernels, backward_push, fora, forward_push,
-                       monte_carlo_ppr, ppr_rows)
+from repro.ppr import ppr_matrix_dense, ppr_row, ppr_rows
 
 
 @st.composite
@@ -40,69 +36,6 @@ def test_power_iteration_rows_are_distributions(graph_source, alpha):
     assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
-@given(random_graphs())
-@settings(max_examples=25, deadline=None)
-def test_forward_push_within_additive_bound(kernel, graph_source):
-    """``estimate <= pi`` elementwise and ``pi - estimate <= sum(residue)``,
-    under every push kernel backend."""
-    graph, source = graph_source
-    alpha = 0.15
-    exact = ppr_rows(graph, np.array([source]), alpha)[0]
-    estimate, residue = forward_push(graph, source, alpha, r_max=1e-5,
-                                     kernel=kernel)
-    assert np.all(estimate >= 0.0)
-    assert np.all(residue >= -1e-15)
-    assert np.all(estimate <= exact + 1e-10)
-    assert np.max(exact - estimate) <= residue.sum() + 1e-10
-
-
-@pytest.mark.parametrize("kernel", available_kernels())
-@given(random_graphs())
-@settings(max_examples=20, deadline=None)
-def test_backward_push_within_additive_bound(kernel, graph_source):
-    """``0 <= pi(., t) - estimate <= r_max`` for every source,
-    under every push kernel backend."""
-    graph, target = graph_source
-    alpha = 0.15
-    r_max = 1e-4
-    exact_col = ppr_rows(graph, np.arange(graph.num_nodes), alpha)[:, target]
-    estimate, residue = backward_push(graph, target, alpha, r_max=r_max,
-                                      kernel=kernel)
-    assert np.all(estimate >= 0.0)
-    assert np.all(estimate <= exact_col + 1e-10)
-    assert np.max(exact_col - estimate) <= r_max + 1e-10
-
-
-@given(random_graphs())
-@settings(max_examples=15, deadline=None)
-def test_fora_is_a_distribution_close_to_exact(graph_source):
-    """FORA conserves probability mass exactly and tracks the exact row."""
-    graph, source = graph_source
-    alpha = 0.15
-    estimate = fora(graph, source, alpha, r_max=1e-4, walks_per_unit=64.0,
-                    seed=7)
-    assert np.all(estimate >= 0.0)
-    # push invariant summed over targets: mass is conserved exactly
-    assert estimate.sum() == pytest.approx(1.0, abs=1e-9)
-    exact = ppr_rows(graph, np.array([source]), alpha)[0]
-    assert np.max(np.abs(estimate - exact)) < 0.1
-
-
-@given(random_graphs())
-@settings(max_examples=10, deadline=None)
-def test_monte_carlo_is_a_distribution_close_to_exact(graph_source):
-    graph, source = graph_source
-    alpha = 0.15
-    estimate = monte_carlo_ppr(graph, source, alpha, num_walks=6000, seed=3)
-    assert np.all(estimate >= 0.0)
-    assert estimate.sum() == pytest.approx(1.0, abs=1e-12)
-    exact = ppr_rows(graph, np.array([source]), alpha)[0]
-    # 6000 walks: entrywise sampling error O(sqrt(p(1-p)/6000)) ~ 6e-3;
-    # a generous 12-sigma band keeps the property deterministic-enough
-    assert np.max(np.abs(estimate - exact)) < 0.08
-
-
 # ----------------------------------------------------------------------
 # dangling-node consistency
 # ----------------------------------------------------------------------
@@ -116,7 +49,8 @@ def dangling_graph():
 
 
 def test_dangling_source_is_delta_under_every_backend(dangling_graph):
-    """A walk from a dangling node terminates immediately: pi(s,.) = e_s."""
+    """A walk from a dangling node terminates immediately: pi(s,.) = e_s,
+    through each entry point of the exact solver."""
     g = dangling_graph
     s = 3
     expected = np.zeros(g.num_nodes)
@@ -124,15 +58,9 @@ def test_dangling_source_is_delta_under_every_backend(dangling_graph):
 
     exact = ppr_rows(g, np.array([s]), 0.15)[0]
     np.testing.assert_allclose(exact, expected, atol=1e-12)
-
-    estimate, residue = forward_push(g, s, 0.15, r_max=1e-8)
-    np.testing.assert_allclose(estimate, expected, atol=1e-12)
-    assert residue.sum() == pytest.approx(0.0, abs=1e-15)
-
-    np.testing.assert_allclose(fora(g, s, 0.15, seed=0), expected,
+    np.testing.assert_allclose(ppr_row(g, s, 0.15), expected, atol=1e-12)
+    np.testing.assert_allclose(ppr_matrix_dense(g, 0.15)[s], expected,
                                atol=1e-12)
-    np.testing.assert_allclose(monte_carlo_ppr(g, s, 0.15, num_walks=500,
-                                               seed=0), expected, atol=1e-12)
 
 
 def test_dangling_rows_sum_to_one_everywhere(dangling_graph):
@@ -140,26 +68,3 @@ def test_dangling_rows_sum_to_one_everywhere(dangling_graph):
     rows = ppr_rows(dangling_graph, np.arange(dangling_graph.num_nodes), 0.15)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(rows >= -1e-15)
-
-
-def test_backward_push_consistent_on_dangling_column(dangling_graph):
-    """The column of a dangling node matches power iteration within r_max."""
-    g = dangling_graph
-    target = 3
-    exact_col = ppr_rows(g, np.arange(g.num_nodes), 0.15)[:, target]
-    estimate, _ = backward_push(g, target, 0.15, r_max=1e-6)
-    assert np.max(np.abs(exact_col - estimate)) <= 1e-6 + 1e-12
-
-
-@pytest.mark.parametrize("kernel", available_kernels())
-def test_push_backends_agree_with_each_other(dangling_graph, kernel):
-    """forward push rows vs backward push columns: same matrix,
-    whichever kernel backend computes them."""
-    g = dangling_graph
-    n = g.num_nodes
-    fwd = np.array([forward_push(g, s, 0.15, r_max=1e-9, kernel=kernel)[0]
-                    for s in range(n)])
-    bwd = np.column_stack([backward_push(g, t, 0.15, r_max=1e-9,
-                                         kernel=kernel)[0]
-                           for t in range(n)])
-    np.testing.assert_allclose(fwd, bwd, atol=1e-6)

@@ -1,12 +1,6 @@
-"""Property tests for the frontier-synchronous push kernel layer.
-
-Every backend (scalar reference, NumPy frontier, the uncompiled numba
-loop bodies, and — when the optional dependency is installed — the
-compiled numba kernels) must agree with the seed scalar implementation
-within the additive ``r_max`` bounds, on graphs that include dangling
-nodes, parallel (multigraph) edges, disconnected sources, exhausted
-``max_pushes`` budgets, and empty inputs.
-"""
+"""Property tests for the frontier spread, the streaming repair's inner
+step, on graphs that include dangling nodes and parallel (multigraph)
+arcs."""
 
 import numpy as np
 import pytest
@@ -14,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.graph import Graph, erdos_renyi, from_edges
-from repro.ppr import (available_kernels, backward_push, backward_push_batch,
-                       forward_push, forward_push_batch, ppr_matrix_dense,
-                       ppr_rows, resolve_kernel, spread_frontier)
-from repro.ppr.kernels import (HAS_NUMBA, _backward_push_loop,
-                               _forward_push_loop, _jit_kernels)
-
-VECTOR_KERNELS = [k for k in available_kernels() if k != "scalar"]
+from repro.graph import from_edges
+from repro.ppr import spread_frontier
 
 
 @st.composite
@@ -33,271 +21,34 @@ def push_graphs(draw):
     seed = draw(st.integers(0, 10_000))
     dedup = draw(st.booleans())
     rng = np.random.default_rng(seed)
-    graph = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
-                       directed=directed, dedup=dedup)
-    source = draw(st.integers(0, n - 1))
-    return graph, source
+    return from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                      directed=directed, dedup=dedup)
 
 
-# ----------------------------------------------------------------------
-# forward parity within the additive bound
-# ----------------------------------------------------------------------
-
-@given(push_graphs())
-@settings(max_examples=40, deadline=None)
-def test_forward_kernels_within_additive_bound(graph_source):
-    graph, source = graph_source
-    alpha = 0.15
-    exact = ppr_rows(graph, np.array([source]), alpha)[0]
-    for kern in available_kernels():
-        estimate, residue = forward_push(graph, source, alpha, r_max=1e-4,
-                                         kernel=kern)
-        assert np.all(estimate >= 0.0), kern
-        assert np.all(residue >= -1e-15), kern
-        assert np.all(estimate <= exact + 1e-10), kern
-        assert np.max(exact - estimate) <= residue.sum() + 1e-10, kern
-        assert estimate.sum() + residue.sum() == pytest.approx(1.0,
-                                                               abs=1e-9)
-
-
-@given(push_graphs())
-@settings(max_examples=25, deadline=None)
-def test_forward_batch_rows_match_scalar_within_bound(graph_source):
-    """Each batch row obeys the same bound the scalar run does."""
-    graph, source = graph_source
-    alpha = 0.15
-    sources = np.array([source, 0, graph.num_nodes - 1])
-    est_sc, res_sc = forward_push_batch(graph, sources, alpha, r_max=1e-4,
-                                        kernel="scalar")
-    for kern in VECTOR_KERNELS:
-        est, res = forward_push_batch(graph, sources, alpha, r_max=1e-4,
-                                      kernel=kern)
-        assert est.shape == (3, graph.num_nodes)
-        # both sit within sum(residue) of the same exact row, so they
-        # sit within the residue sums of each other
-        bound = res.sum(axis=1) + res_sc.sum(axis=1) + 1e-10
-        assert np.all(np.abs(est - est_sc) <= bound[:, None]), kern
-
-
-@given(push_graphs())
-@settings(max_examples=20, deadline=None)
-def test_forward_kernels_converge_together(graph_source):
-    """With a tiny r_max every backend lands on the exact row."""
-    graph, source = graph_source
-    exact = ppr_rows(graph, np.array([source]), 0.2)[0]
-    for kern in available_kernels():
-        estimate, _ = forward_push(graph, source, 0.2, r_max=1e-10,
-                                   kernel=kern)
-        np.testing.assert_allclose(estimate, exact, atol=1e-7,
-                                   err_msg=kern)
-
-
-# ----------------------------------------------------------------------
-# backward parity within the additive bound
-# ----------------------------------------------------------------------
-
-@given(push_graphs())
-@settings(max_examples=25, deadline=None)
-def test_backward_kernels_within_additive_bound(graph_source):
-    graph, target = graph_source
-    alpha = 0.15
-    r_max = 1e-4
-    exact_col = ppr_rows(graph, np.arange(graph.num_nodes),
-                         alpha)[:, target]
-    for kern in available_kernels():
-        estimate, _ = backward_push(graph, target, alpha, r_max=r_max,
-                                    kernel=kern)
-        assert np.all(estimate >= 0.0), kern
-        assert np.all(estimate <= exact_col + 1e-10), kern
-        assert np.max(exact_col - estimate) <= r_max + 1e-10, kern
-
-
-@given(push_graphs())
-@settings(max_examples=15, deadline=None)
-def test_backward_batch_columns_converge(graph_source):
-    graph, target = graph_source
-    targets = np.array([target, graph.num_nodes - 1])
-    exact = ppr_rows(graph, np.arange(graph.num_nodes), 0.15)[:, targets].T
-    for kern in VECTOR_KERNELS:
-        estimate, _ = backward_push_batch(graph, targets, 0.15, r_max=1e-9,
-                                          kernel=kern)
-        np.testing.assert_allclose(estimate, exact, atol=1e-6, err_msg=kern)
-
-
-# ----------------------------------------------------------------------
-# termination invariants: dangling mass, budget exhaustion, empty input
-# ----------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def dangling_graph():
-    """Node 3 dangling, node 5 fully disconnected."""
-    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 4), (4, 0)]
-    return from_edges(6, [e[0] for e in edges], [e[1] for e in edges],
-                      directed=True)
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_dangling_and_disconnected_sources(dangling_graph, kern):
-    g = dangling_graph
-    for s in (3, 5):       # dangling / fully disconnected
-        expected = np.zeros(g.num_nodes)
-        expected[s] = 1.0
-        estimate, residue = forward_push(g, s, 0.15, r_max=1e-8,
-                                         kernel=kern)
-        np.testing.assert_allclose(estimate, expected, atol=1e-12)
-        assert residue.sum() == pytest.approx(0.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_dangling_target_column_seeding(dangling_graph, kern):
-    """The 1/alpha dangling-target seeding survives every backend."""
-    g = dangling_graph
-    exact_col = ppr_rows(g, np.arange(g.num_nodes), 0.15)[:, 3]
-    estimate, _ = backward_push(g, 3, 0.15, r_max=1e-8, kernel=kern)
-    assert np.max(np.abs(exact_col - estimate)) <= 1e-8 + 1e-12
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_budget_exhaustion_preserves_invariant(er_graph, kern):
-    """Stopping mid-push keeps p + r @ Pi == pi and conserves mass."""
-    pi = ppr_matrix_dense(er_graph, 0.15)
-    for budget in (0, 1, 7, 50):
-        estimate, residue = forward_push(er_graph, 5, 0.15, r_max=1e-8,
-                                         max_pushes=budget, kernel=kern)
-        reconstructed = estimate + residue @ pi
-        np.testing.assert_allclose(reconstructed, pi[5], atol=1e-9)
-        assert estimate.sum() + residue.sum() == pytest.approx(1.0,
-                                                               abs=1e-9)
-    zero_est, zero_res = forward_push(er_graph, 5, 0.15, max_pushes=0,
-                                      kernel=kern)
-    assert zero_est.sum() == 0.0
-    assert zero_res[5] == 1.0
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_budget_exhaustion_backward(er_graph, kern):
-    """Backward budget exhaustion underestimates but never overshoots."""
-    exact_col = ppr_rows(er_graph, np.arange(er_graph.num_nodes),
-                         0.15)[:, 3]
-    estimate, residue = backward_push(er_graph, 3, 0.15, r_max=1e-8,
-                                      max_pushes=9, kernel=kern)
-    assert np.all(estimate <= exact_col + 1e-10)
-    assert np.all(residue >= -1e-15)
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_empty_inputs(kern):
-    empty = Graph(np.zeros(1, dtype=np.int64),
-                  np.empty(0, dtype=np.int64), directed=True)
-    est, res = forward_push_batch(empty, [], kernel=kern)
-    assert est.shape == res.shape == (0, 0)
-    est, res = backward_push_batch(empty, [], kernel=kern)
-    assert est.shape == (0, 0)
-    g = erdos_renyi(10, 20, seed=0)
-    est, res = forward_push_batch(g, [], kernel=kern)
-    assert est.shape == (0, 10)
-
-
-# ----------------------------------------------------------------------
-# multigraph regression: parallel edges must accumulate, not overwrite
-# ----------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def multigraph():
-    """Directed multigraph: the 0->1 and 2->3 arcs are doubled."""
-    src = [0, 0, 0, 1, 2, 2, 2, 3]
-    dst = [1, 1, 2, 2, 3, 3, 0, 0]
-    return from_edges(4, src, dst, directed=True, dedup=False)
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_forward_push_parallel_edges(multigraph, kern):
-    """Seed bug: ``residue[neighbors] += share`` dropped repeated
-    indices, sending half the mass of a doubled arc into the void."""
-    exact = ppr_rows(multigraph, np.array([0]), 0.15)[0]
-    estimate, residue = forward_push(multigraph, 0, 0.15, r_max=1e-12,
-                                     kernel=kern)
-    np.testing.assert_allclose(estimate, exact, atol=1e-9)
-    assert estimate.sum() + residue.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("kern", available_kernels())
-def test_backward_push_parallel_edges(multigraph, kern):
-    exact_col = ppr_rows(multigraph, np.arange(4), 0.15)[:, 2]
-    estimate, _ = backward_push(multigraph, 2, 0.15, r_max=1e-12,
-                                kernel=kern)
-    np.testing.assert_allclose(estimate, exact_col, atol=1e-9)
-
-
-# ----------------------------------------------------------------------
-# the numba loop bodies, exercised uncompiled (no optional dep needed)
-# ----------------------------------------------------------------------
-
-def test_forward_loop_body_matches_scalar(er_graph):
-    g = er_graph
-    n = g.num_nodes
-    sources = np.array([0, 42], dtype=np.int64)
-    estimate = np.zeros(2 * n)
-    residue = np.zeros(2 * n)
-    _forward_push_loop(g.indptr, g.indices, g.out_degrees, sources, n,
-                       0.15, 1e-8, 10_000_000, estimate, residue)
-    exact = ppr_rows(g, sources, 0.15)
-    np.testing.assert_allclose(estimate.reshape(2, n), exact, atol=1e-5)
-
-
-def test_backward_loop_body_matches_scalar(er_graph):
-    g = er_graph
-    n = g.num_nodes
-    targets = np.array([7], dtype=np.int64)
-    seeds = np.where(g.out_degrees[targets] > 0, 1.0, 1.0 / 0.15)
-    transpose = g.transpose()
-    estimate = np.zeros(n)
-    residue = np.zeros(n)
-    _backward_push_loop(transpose.indptr, transpose.indices,
-                        g.out_degree_inverse(), seeds, targets, n,
-                        0.15, 1e-8, 10_000_000, estimate, residue)
-    exact_col = ppr_rows(g, np.arange(n), 0.15)[:, 7]
-    np.testing.assert_allclose(estimate, exact_col, atol=1e-6)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="optional numba not installed")
-def test_numba_kernels_compile_and_agree(er_graph):  # pragma: no cover
-    est_nb, _ = forward_push_batch(er_graph, [0, 3], r_max=1e-9,
-                                   kernel="numba")
-    est_np, _ = forward_push_batch(er_graph, [0, 3], r_max=1e-9,
-                                   kernel="numpy")
-    np.testing.assert_allclose(est_nb, est_np, atol=1e-7)
-    est_nb, _ = backward_push_batch(er_graph, [5], r_max=1e-9,
-                                    kernel="numba")
-    est_np, _ = backward_push_batch(er_graph, [5], r_max=1e-9,
-                                    kernel="numpy")
-    np.testing.assert_allclose(est_nb, est_np, atol=1e-7)
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-def test_jit_kernels_require_numba():
-    with pytest.raises(ImportError):
-        _jit_kernels()
-
-
-# ----------------------------------------------------------------------
-# frontier spread (streaming repair's inner step)
-# ----------------------------------------------------------------------
-
-def test_spread_frontier_matches_dense_product(small_directed):
-    g = small_directed
-    rng = np.random.default_rng(3)
-    frontier = np.unique(rng.integers(0, g.num_nodes, 12))
-    delta = rng.standard_normal((len(frontier), 5))
-    rows, spread = spread_frontier(g, frontier, delta, decay=0.85)
-    p = g.transition_matrix().toarray()
-    dense = 0.85 * (p[:, frontier] @ delta)
+@given(push_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_spread_frontier_matches_dense_product(graph, data):
+    """``rows, spread`` is ``decay * P[:, frontier] @ delta`` restricted
+    to its nonzero rows; each parallel arc delivers its own share."""
+    n = graph.num_nodes
+    frontier = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                           unique=True, max_size=n)),
+                        dtype=np.int64)
+    k = data.draw(st.integers(1, 4))
+    decay = data.draw(st.sampled_from([0.85, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    delta = rng.standard_normal((len(frontier), k))
+    rows, spread = spread_frontier(graph, frontier, delta, decay=decay)
+    assert spread.shape == (len(rows), k)
+    assert np.all(np.diff(rows) > 0)            # sorted, no repeats
+    p = graph.transition_matrix().toarray()     # sums parallel arcs
+    dense = decay * (p[:, frontier] @ delta)
     full = np.zeros_like(dense)
     full[rows] = spread
     np.testing.assert_allclose(full, dense, atol=1e-12)
     # rows not reported must be exactly untouched
-    untouched = np.setdiff1d(np.arange(g.num_nodes), rows)
-    assert np.abs(dense[untouched]).max() == 0.0
+    untouched = np.setdiff1d(np.arange(n), rows)
+    assert np.all(dense[untouched] == 0.0)
 
 
 def test_spread_frontier_validates_shapes(er_graph):
@@ -307,51 +58,3 @@ def test_spread_frontier_validates_shapes(er_graph):
         spread_frontier(er_graph, [-1], np.zeros((1, 2)))
     rows, spread = spread_frontier(er_graph, [], np.zeros((0, 4)))
     assert len(rows) == 0 and spread.shape == (0, 4)
-
-
-# ----------------------------------------------------------------------
-# kernel selection plumbing
-# ----------------------------------------------------------------------
-
-def test_resolve_kernel_names():
-    assert resolve_kernel("scalar") == "scalar"
-    assert resolve_kernel("NumPy") == "numpy"
-    assert resolve_kernel("auto") in ("numpy", "numba")
-    with pytest.raises(ParameterError):
-        resolve_kernel("cuda")
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-def test_resolve_kernel_numba_missing_is_explicit():
-    with pytest.raises(ParameterError, match="numba"):
-        resolve_kernel("numba")
-
-
-def test_env_var_selects_kernel(monkeypatch, fig1):
-    monkeypatch.setenv("REPRO_KERNEL", "scalar")
-    assert resolve_kernel(None) == "scalar"
-    est_env, _ = forward_push(fig1, 1, 0.15, r_max=1e-6)
-    est_scalar, _ = forward_push(fig1, 1, 0.15, r_max=1e-6,
-                                 kernel="scalar")
-    np.testing.assert_array_equal(est_env, est_scalar)
-    monkeypatch.setenv("REPRO_KERNEL", "warp-drive")
-    with pytest.raises(ParameterError):
-        resolve_kernel(None)
-
-
-def test_kwarg_overrides_env(monkeypatch, fig1):
-    monkeypatch.setenv("REPRO_KERNEL", "scalar")
-    assert resolve_kernel("numpy") == "numpy"
-
-
-def test_batch_rejects_bad_parameters(fig1):
-    with pytest.raises(ParameterError):
-        forward_push_batch(fig1, [0], alpha=1.5)
-    with pytest.raises(ParameterError):
-        forward_push_batch(fig1, [0], r_max=0.0)
-    with pytest.raises(ParameterError):
-        forward_push_batch(fig1, [99])
-    with pytest.raises(ParameterError):
-        backward_push_batch(fig1, [0], max_pushes=-1)
-    with pytest.raises(ParameterError):
-        forward_push_batch(fig1, [0], kernel="fortran")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.graph import TABLE1_PPR, erdos_renyi, from_edges
 from repro.ppr import (ppr_matrix_dense, ppr_row, ppr_rows,
                        truncated_ppr_matrix)
@@ -89,6 +90,25 @@ def test_invalid_alpha(fig1):
         ppr_row(fig1, 0, 0.0)
     with pytest.raises(Exception):
         ppr_row(fig1, 0, 1.0)
+
+
+@pytest.mark.parametrize("source", [-1, 9])
+def test_source_out_of_range(fig1, source):
+    """A negative id must not wrap around to node 8's row."""
+    with pytest.raises(ParameterError, match=r"source out of range \[0, 9\)"):
+        ppr_row(fig1, source)
+    with pytest.raises(ParameterError, match="out of range"):
+        ppr_rows(fig1, [0, source])
+
+
+def test_max_iters_below_one(fig1):
+    """Zero iterations would return an all-zero 'PPR row'."""
+    with pytest.raises(ParameterError, match="max_iters"):
+        ppr_rows(fig1, [0], max_iters=0)
+    with pytest.raises(ParameterError, match="max_iters"):
+        ppr_matrix_dense(fig1, max_iters=-3)
+    np.testing.assert_allclose(ppr_rows(fig1, [0], max_iters=1)[0],
+                               np.eye(9)[0] * 0.15)
 
 
 def test_truncated_matrix_error_bound(fig1):

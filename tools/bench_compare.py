@@ -6,7 +6,7 @@ artifact per benchmark under ``benchmarks/results/``. This tool diffs
 those artifacts against the committed baselines in
 ``benchmarks/baselines/`` and **fails (exit 1) on regressions** beyond
 per-metric tolerances, so a PR that quietly doubles serving p99 or
-halves kernel throughput turns red instead of landing.
+halves streaming throughput turns red instead of landing.
 
 Design points:
 
@@ -65,13 +65,6 @@ SPECS: dict[str, dict] = {
         # ~0.001 baseline would flag noise, so the budget is absolute
         "metrics": [
             ("overhead", "lower", {"abs": 0.015}),
-        ],
-    },
-    "push_kernels.json": {
-        "context": ["edge_factor", "r_max", "batch", "numba"],
-        "metrics": [
-            ("rows.*.batch_seconds", "lower", {"rel": 0.25}),
-            ("rows.*.backward_batch_seconds", "lower", {"rel": 0.25}),
         ],
     },
     "sharded_serving.json": {
