@@ -17,37 +17,39 @@ Theorem 1 bounds the entrywise error by
 Both stages run in one process on the whole graph: the SVD multiplies
 the CSR adjacency matrix by dense blocks, and each power iteration is
 one CSR × dense product updated in place.
+
+Precision: Algorithm 1 runs in float32. The randomized SVDs get a
+float32 ``A`` and work in its dtype (see :mod:`repro.linalg.bksvd`),
+``X_1``, ``Y`` and ``V Sigma^-1/2`` are float32, and the power
+iterations multiply by a float32 ``P``, so :class:`PPRFactorState` is
+float32. Theorem 1 is the argument: at the paper's defaults its
+truncation term alone, ``(1-alpha)^(ell1+1) ~= 0.033``, is about
+``10^5`` times float32's unit roundoff (``6e-8``), and its SVD term is
+larger still, while ``ell1`` products with a substochastic ``P`` add
+relative rounding of order ``ell1 eps_32``. One CSR × 64-column product
+costs about half as much in float32 as in float64. ``svd="exact"``
+stays the float64 oracle: its SVD and its propagation run in float64.
+Everything downstream is float64: :class:`repro.NRP` and
+:class:`repro.ApproxPPREmbedder` cast ``X`` and ``Y`` once per fit, and
+:class:`repro.streaming.IncrementalPPR` casts the state once when it
+adopts it, so the reweighting, the objective and every public
+embedding see float64 only.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
-from ..errors import ParameterError
+from ..errors import ParameterError, check_integers
 from ..graph import Graph
 from ..linalg import bksvd, randomized_svd
 from ..rng import ensure_rng
 
 __all__ = ["ApproxPPRConfig", "PPRFactorState", "approx_ppr_embeddings",
            "approx_ppr_state", "theorem1_bound"]
-
-
-def _check_integers(**values) -> None:
-    """Raise :class:`ParameterError` for any value that is not an integer.
-
-    ``operator.index`` accepts Python and NumPy integers and refuses
-    ``16.0``, which ``int(x) != x`` would let through.
-    """
-    for name, value in values.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ParameterError(
-                f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class ApproxPPRConfig:
     seed: int | None = 0
 
     def validate(self) -> None:
-        _check_integers(k_prime=self.k_prime, ell1=self.ell1)
+        check_integers(k_prime=self.k_prime, ell1=self.ell1)
         if self.k_prime < 1:
             raise ParameterError("k_prime must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -83,15 +85,17 @@ class ApproxPPRConfig:
 
 def _factorize_adjacency(graph: Graph, config: ApproxPPRConfig,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    adjacency = graph.adjacency()
+    """``U, sigma, V`` of ``A``: float32 from the randomized backends,
+    float64 from the exact oracle (see the module docstring)."""
+    if config.svd == "exact":
+        dense = graph.adjacency().toarray()
+        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        return u[:, :config.k_prime], s[:config.k_prime], vt[:config.k_prime].T
+    adjacency = graph.adjacency(np.float32)
     rng = ensure_rng(config.seed)
     if config.svd == "bksvd":
         return bksvd(adjacency, config.k_prime, eps=config.eps, seed=rng)
-    if config.svd == "rsvd":
-        return randomized_svd(adjacency, config.k_prime, seed=rng)
-    dense = adjacency.toarray()
-    u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    return u[:, :config.k_prime], s[:config.k_prime], vt[:config.k_prime].T
+    return randomized_svd(adjacency, config.k_prime, seed=rng)
 
 
 def _power_iterations(p, x1: np.ndarray,
@@ -151,15 +155,16 @@ def approx_ppr_state(graph: Graph, config: ApproxPPRConfig,
     with obs.trace("approx_ppr.svd", backend=config.svd,
                    k_prime=config.k_prime):
         u, sigma, v = _factorize_adjacency(graph, config)
+    dtype = u.dtype
     sqrt_sigma = np.sqrt(np.maximum(sigma, 0.0))
-    d_inv = graph.out_degree_inverse()
+    d_inv = graph.out_degree_inverse().astype(dtype, copy=False)
     x1 = d_inv[:, None] * u * sqrt_sigma[None, :]
     y = v * sqrt_sigma[None, :]
     inv_sqrt = np.zeros_like(sqrt_sigma)
     np.divide(1.0, sqrt_sigma, out=inv_sqrt, where=sqrt_sigma > 0)
     v_scaled = v * inv_sqrt[None, :]
 
-    p = graph.transition_matrix()
+    p = graph.transition_matrix(dtype)
     with obs.trace("approx_ppr.propagation", ell1=config.ell1):
         x_iter = _power_iterations(p, x1, config)
     return PPRFactorState(x1=x1, x_iter=x_iter, y=y, v_scaled=v_scaled)
@@ -167,7 +172,8 @@ def approx_ppr_state(graph: Graph, config: ApproxPPRConfig,
 
 def approx_ppr_embeddings(graph: Graph, config: ApproxPPRConfig,
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Run Algorithm 1; returns ``(X, Y)`` with ``X @ Y.T ~= Pi'``."""
+    """Run Algorithm 1; returns ``(X, Y)`` with ``X @ Y.T ~= Pi'``, in
+    the factor state's dtype (float32 unless ``svd="exact"``)."""
     state = approx_ppr_state(graph, config)
     x = state.x_iter * (config.alpha * (1.0 - config.alpha))
     return x, state.y

@@ -24,10 +24,10 @@ import numpy as np
 
 from .. import obs
 from ..embedder import Embedder
-from ..errors import ParameterError, ReproError
+from ..errors import ParameterError, ReproError, check_integers
 from ..graph import Graph
 from ..rng import spawn_rngs
-from .approx_ppr import (ApproxPPRConfig, PPRFactorState, _check_integers,
+from .approx_ppr import (ApproxPPRConfig, PPRFactorState,
                          approx_ppr_embeddings, approx_ppr_state)
 from .objective import reweighting_objective
 from .reweighting import update_backward_weights, update_forward_weights
@@ -62,7 +62,7 @@ class NRPConfig:
                                seed=seed)
 
     def validate(self) -> None:
-        _check_integers(dim=self.dim, ell2=self.ell2)
+        check_integers(dim=self.dim, ell2=self.ell2)
         if self.dim < 2 or self.dim % 2:
             raise ParameterError("dim must be an even integer >= 2")
         if self.ell2 < 0:
@@ -121,20 +121,21 @@ class NRP(Embedder):
     def fit(self, graph: Graph) -> "NRP":
         cfg = self.config
         svd_rng, sweep_rng = spawn_rngs(cfg.seed, 2)
-        approx_cfg = cfg.approx_config(svd_rng)
         # nrp.fit is the root span; approx_ppr.svd / approx_ppr.propagation
         # and nrp.reweighting nest inside it, giving per-phase timings
         with obs.trace("nrp.fit", n=graph.num_nodes, dim=cfg.dim):
+            state = approx_ppr_state(graph, cfg.approx_config(svd_rng))
             if self.keep_factor_state:
                 # Streaming tier: retain the Algorithm-1 internals so
                 # IncrementalPPR can repair them without a second SVD.
-                state = approx_ppr_state(graph, approx_cfg)
                 self.factor_state_ = state
-                x = state.x_iter * (cfg.alpha * (1.0 - cfg.alpha))
-                y = state.y
-            else:
-                x, y = approx_ppr_embeddings(graph, approx_cfg)
-            self._fit_weights(graph, x, y, sweep_rng)
+            # Algorithm 1 runs in float32; the reweighting and the
+            # embeddings are float64. Scaling after the cast gives the
+            # X that IncrementalPPR.embeddings() gives for this state.
+            x = state.x_iter.astype(np.float64)
+            x *= cfg.alpha * (1.0 - cfg.alpha)
+            self._fit_weights(graph, x, state.y.astype(np.float64),
+                              sweep_rng)
         return self
 
     def _fit_weights(self, graph: Graph, x: np.ndarray, y: np.ndarray,
@@ -224,6 +225,8 @@ class NRP(Embedder):
             raise ParameterError("drift_threshold must be positive or None")
         if x is None:
             x, y = self.base_forward_, self.base_backward_
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
         n = graph.num_nodes
         if len(self.w_fwd_) != n or x.shape[0] != n:
             self.fit(graph)
@@ -289,6 +292,6 @@ class ApproxPPREmbedder(Embedder):
 
     def fit(self, graph: Graph) -> "ApproxPPREmbedder":
         x, y = approx_ppr_embeddings(graph, self.config)
-        self.forward_ = x
-        self.backward_ = y
+        self.forward_ = np.asarray(x, dtype=np.float64)
+        self.backward_ = np.asarray(y, dtype=np.float64)
         return self

@@ -5,6 +5,8 @@ Keeping a small, explicit hierarchy lets callers catch broad categories
 matching.
 """
 
+import operator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -54,3 +56,17 @@ class StalePointerError(StoreError):
     does not exist at all, so retrying cannot help — the pointer itself
     is stale (e.g. the version was pruned by hand).
     """
+
+
+def check_integers(**values) -> None:
+    """Raise :class:`ParameterError` for any value that is not an integer.
+
+    ``operator.index`` accepts Python and NumPy integers and refuses
+    ``16.0``, which ``int(x) != x`` would let through.
+    """
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(
+                f"{name} must be an integer, got {value!r}") from None

@@ -29,18 +29,50 @@ __all__ = ["erdos_renyi", "chung_lu", "powerlaw_community", "sbm",
            "barabasi_albert", "watts_strogatz", "rmat", "powerlaw_weights"]
 
 
-def _dedup_pairs(src: np.ndarray, dst: np.ndarray, directed: bool,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop self loops and duplicate (unordered for undirected) pairs."""
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    if not directed:
-        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-        src, dst = lo, hi
-    key = src.astype(np.int64) * (dst.max() + 1 if len(dst) else 1) + dst
-    _, idx = np.unique(key, return_index=True)
-    idx.sort()
-    return src[idx], dst[idx]
+class _PairSampler:
+    """The distinct pairs of a sequence of random draws, in draw order.
+
+    :meth:`add` drops a draw's self loops (and orders undirected pairs
+    ``u < v``), then every pair already kept or repeated earlier in the
+    draw. The keys ``u * n + v`` of the kept pairs stay in one sorted
+    array, so a draw costs a sort of the draw, not of every pair kept
+    so far (the sorted-key rule of :mod:`repro.graph.ops`).
+    """
+
+    def __init__(self, num_nodes: int, directed: bool) -> None:
+        self.num_nodes = num_nodes
+        self.directed = directed
+        self.keys = np.empty(0, dtype=np.int64)
+        self.src: list[np.ndarray] = []
+        self.dst: list[np.ndarray] = []
+        self.count = 0
+
+    def add(self, src: np.ndarray, dst: np.ndarray) -> None:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        if not self.directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        key = src * np.int64(self.num_nodes) + dst
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        first = np.ones(len(ranked), dtype=bool)    # first of its key
+        first[1:] = ranked[1:] != ranked[:-1]
+        pos = np.searchsorted(self.keys, ranked)
+        kept = pos < len(self.keys)
+        kept[kept] = self.keys[pos[kept]] == ranked[kept]
+        new = first & ~kept
+        self.keys = np.insert(self.keys, pos[new], ranked[new])
+        idx = np.sort(order[new])
+        self.src.append(src[idx])
+        self.dst.append(dst[idx])
+        self.count += len(idx)
+
+    def graph(self, num_edges: int) -> Graph:
+        """The graph of the first ``num_edges`` kept pairs."""
+        return from_edges(self.num_nodes,
+                          np.concatenate(self.src)[:num_edges],
+                          np.concatenate(self.dst)[:num_edges],
+                          directed=self.directed)
 
 
 def erdos_renyi(num_nodes: int, num_edges: int, *, directed: bool = False,
@@ -54,22 +86,13 @@ def erdos_renyi(num_nodes: int, num_edges: int, *, directed: bool = False,
     if num_edges > max_edges:
         raise ParameterError(f"num_edges={num_edges} exceeds max {max_edges}")
     rng = ensure_rng(seed)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    have = 0
-    while have < num_edges:
-        want = int((num_edges - have) * 1.2) + 16
+    pairs = _PairSampler(num_nodes, directed)
+    while pairs.count < num_edges:
+        want = int((num_edges - pairs.count) * 1.2) + 16
         s = rng.integers(0, num_nodes, size=want)
         d = rng.integers(0, num_nodes, size=want)
-        src_parts.append(s)
-        dst_parts.append(d)
-        s_all = np.concatenate(src_parts)
-        d_all = np.concatenate(dst_parts)
-        s_all, d_all = _dedup_pairs(s_all, d_all, directed)
-        src_parts, dst_parts = [s_all], [d_all]
-        have = len(s_all)
-    return from_edges(num_nodes, src_parts[0][:num_edges],
-                      dst_parts[0][:num_edges], directed=directed)
+        pairs.add(s, d)
+    return pairs.graph(num_edges)
 
 
 def powerlaw_weights(num_nodes: int, exponent: float = 2.5,
@@ -89,22 +112,14 @@ def chung_lu(weights: np.ndarray, num_edges: int, *, directed: bool = False,
     w = np.asarray(weights, dtype=np.float64)
     p = w / w.sum()
     n = len(w)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    have = 0
+    pairs = _PairSampler(n, directed)
     # Heavy-tailed weights produce many duplicate pairs; oversample and retry.
-    while have < num_edges:
-        want = int((num_edges - have) * 1.5) + 16
+    while pairs.count < num_edges:
+        want = int((num_edges - pairs.count) * 1.5) + 16
         s = rng.choice(n, size=want, p=p)
         d = rng.choice(n, size=want, p=p)
-        src_parts.append(s)
-        dst_parts.append(d)
-        s_all, d_all = _dedup_pairs(np.concatenate(src_parts),
-                                    np.concatenate(dst_parts), directed)
-        src_parts, dst_parts = [s_all], [d_all]
-        have = len(s_all)
-    return from_edges(n, src_parts[0][:num_edges], dst_parts[0][:num_edges],
-                      directed=directed)
+        pairs.add(s, d)
+    return pairs.graph(num_edges)
 
 
 def powerlaw_community(num_nodes: int, num_edges: int, *,
@@ -144,11 +159,9 @@ def powerlaw_community(num_nodes: int, num_edges: int, *,
     comm_p = comm_mass / comm_mass.sum()
     global_p = weights / weights.sum()
 
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    have = 0
-    while have < num_edges:
-        want = int((num_edges - have) * 1.5) + 32
+    pairs = _PairSampler(num_nodes, directed)
+    while pairs.count < num_edges:
+        want = int((num_edges - pairs.count) * 1.5) + 32
         is_local = rng.random(want) < (1.0 - mixing)
         n_local = int(is_local.sum())
         s = np.empty(want, dtype=np.int64)
@@ -175,15 +188,8 @@ def powerlaw_community(num_nodes: int, num_edges: int, *,
         glob_idx = np.flatnonzero(~is_local)
         s[glob_idx] = rng.choice(num_nodes, size=n_glob, p=global_p)
         d[glob_idx] = rng.choice(num_nodes, size=n_glob, p=global_p)
-        src_parts.append(s)
-        dst_parts.append(d)
-        s_all, d_all = _dedup_pairs(np.concatenate(src_parts),
-                                    np.concatenate(dst_parts), directed)
-        src_parts, dst_parts = [s_all], [d_all]
-        have = len(s_all)
-    graph = from_edges(num_nodes, src_parts[0][:num_edges],
-                       dst_parts[0][:num_edges], directed=directed)
-    return graph, community
+        pairs.add(s, d)
+    return pairs.graph(num_edges), community
 
 
 def sbm(sizes, p_within: float, p_between: float, *, directed: bool = False,
@@ -257,23 +263,15 @@ def rmat(scale: int, num_edges: int, *, a: float = 0.57, b: float = 0.19,
         raise ParameterError("a + b + c must be <= 1")
     rng = ensure_rng(seed)
     n = 1 << scale
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    have = 0
+    pairs = _PairSampler(n, directed)
     probs = np.array([a, b, c, d])
-    while have < num_edges:
-        want = int((num_edges - have) * 1.3) + 16
+    while pairs.count < num_edges:
+        want = int((num_edges - pairs.count) * 1.3) + 16
         s = np.zeros(want, dtype=np.int64)
         t = np.zeros(want, dtype=np.int64)
         for _ in range(scale):
             quad = rng.choice(4, size=want, p=probs)
             s = (s << 1) | (quad >> 1)
             t = (t << 1) | (quad & 1)
-        src_parts.append(s)
-        dst_parts.append(t)
-        s_all, d_all = _dedup_pairs(np.concatenate(src_parts),
-                                    np.concatenate(dst_parts), directed)
-        src_parts, dst_parts = [s_all], [d_all]
-        have = len(s_all)
-    return from_edges(n, src_parts[0][:num_edges], dst_parts[0][:num_edges],
-                      directed=directed)
+        pairs.add(s, t)
+    return pairs.graph(num_edges)

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..rng import ensure_rng
 from .graph import Graph
-from .ops import remove_arcs
+from .ops import arc_ids, remove_arcs
 
 __all__ = ["LinkPredictionSplit", "link_prediction_split",
            "sample_non_edges", "train_test_nodes"]
@@ -40,11 +40,6 @@ class LinkPredictionSplit:
         return src, dst, labels
 
 
-def _arc_key_set(graph: Graph) -> np.ndarray:
-    src, dst = graph.arcs()
-    return np.sort(src * np.int64(graph.num_nodes) + dst)
-
-
 def sample_non_edges(graph: Graph, count: int, *, seed=None,
                      forbidden_keys: np.ndarray | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,13 +53,17 @@ def sample_non_edges(graph: Graph, count: int, *, seed=None,
     if count > n * (n - 1) // 4:
         raise ParameterError("too many non-edges requested for graph size")
     rng = ensure_rng(seed)
-    keys = _arc_key_set(graph)
+    # sorted keys u * n + v of every pair a sample must avoid: the arcs
+    # (arc_ids are sorted already; for undirected graphs the key of
+    # u < v is always stored), the forbidden keys, and each negative
+    # once it is drawn. Repeated keys do not disturb the lookup.
+    keys = arc_ids(graph)
     if forbidden_keys is not None:
-        keys = np.union1d(keys, forbidden_keys)
+        keys = np.sort(np.concatenate(
+            [keys, np.asarray(forbidden_keys, dtype=np.int64).ravel()]))
     out_src: list[np.ndarray] = []
     out_dst: list[np.ndarray] = []
     have = 0
-    seen = np.empty(0, dtype=np.int64)
     while have < count:
         want = int((count - have) * 1.3) + 16
         s = rng.integers(0, n, size=want)
@@ -73,20 +72,19 @@ def sample_non_edges(graph: Graph, count: int, *, seed=None,
         s, d = s[ok], d[ok]
         if not graph.directed:
             s, d = np.minimum(s, d), np.maximum(s, d)
-        cand = s * np.int64(n) + d
-        # not an edge (for undirected graphs key (u<v) is always stored)
+        # each draw's new negatives in ascending key order
+        cand = np.sort(s * np.int64(n) + d)
+        fresh = np.ones(len(cand), dtype=bool)
+        fresh[1:] = cand[1:] != cand[:-1]
         pos = np.searchsorted(keys, cand)
-        pos = np.minimum(pos, len(keys) - 1) if len(keys) else pos
-        is_edge = (keys[pos] == cand) if len(keys) else np.zeros(len(cand), bool)
-        cand_ok = ~is_edge
-        cand = cand[cand_ok]
-        # distinct among already-collected negatives
-        cand = np.setdiff1d(cand, seen, assume_unique=False)
-        cand = np.unique(cand)
-        seen = np.union1d(seen, cand)
+        known = pos < len(keys)
+        known[known] = keys[pos[known]] == cand[known]
+        fresh &= ~known
+        cand = cand[fresh]
+        keys = np.insert(keys, pos[fresh], cand)
         out_src.append(cand // n)
         out_dst.append(cand % n)
-        have = sum(len(x) for x in out_src)
+        have += len(cand)
     src = np.concatenate(out_src)[:count]
     dst = np.concatenate(out_dst)[:count]
     return src, dst

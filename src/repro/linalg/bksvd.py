@@ -48,6 +48,26 @@ The implementation follows Algorithm 2 of Musco & Musco:
    roots of the eigenvalues, ``V = (A^T Q) W / sigma``, so ``A^T U = V
    diag(sigma)`` without another product with ``A^T``.
 
+``bksvd`` works in its input's dtype. A float32 matrix keeps the start
+block, the basis, ``A^T Q`` and the returned triplets in float32; any
+other input (float64, integer, boolean) runs in float64, so a float64
+caller gets the results it always got. :func:`repro.linalg.randomized_svd`
+follows the same rule. Only the ``c x c`` Rayleigh--Ritz eigenproblem
+(``512 x 512`` at the defaults) is float64 for every input: ``M`` is
+formed in the working dtype and cast before ``eigh``. Two thresholds
+meet the dtype:
+
+* the lost-column threshold ``1e-8`` of steps 3 and 4 is float64's. It
+  scales with ``sqrt(eps_mach)``, to ``1e-8 sqrt(eps32 / eps64)``,
+  about ``2.3e-4``, in float32. Unscaled it lies below float32's
+  resolution: columns already in the span pass as new, and Algorithm 1
+  on the 9-node Figure-1 graph (``k' = 4``) came out wrong by 0.17;
+* the drift guard ``||Q_1^T Q_1 - I||_F > 0.01`` does not scale, since
+  step 3's argument needs that bound itself. In float32 ``eps_mach
+  cond(W)^2`` reaches it from ``cond(W)`` of about 300, not ``1e7``, so
+  blocks that ill-conditioned go to Householder QR. No block of the
+  ledger fit graphs (seeds 0--2, ``k' = 64``) took that path.
+
 The dense algebra runs on NumPy's BLAS and LAPACK only, never
 ``scipy.linalg``: the NumPy and SciPy wheels link separate OpenBLAS
 builds (``scipy_openblas64`` and ``scipy_openblas32``), each with its own
@@ -69,19 +89,34 @@ import math
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_integers
 from ..rng import ensure_rng
 
 __all__ = ["bksvd", "default_krylov_iterations"]
 
 #: A column whose QR diagonal (or first-pass Cholesky pivot) is at most
 #: this fraction of its norm before projection lies in the span of the
-#: basis so far (to rounding).
+#: basis so far (to rounding). This is the float64 value; it scales with
+#: the square root of the working dtype's machine epsilon
+#: (:func:`_lost_column`).
 _LOST_COLUMN = 1e-8
 
 #: Cholesky-QR2 hands a block to Householder QR when its first pass
 #: leaves ``||Q_1^T Q_1 - I||_F`` above this (see the module docstring).
 _FIRST_PASS_DRIFT = 1e-2
+
+
+def _working_dtype(matrix) -> np.dtype:
+    """float32 for a float32 ``matrix``; float64 for any other dtype."""
+    return np.dtype(np.float32 if matrix.dtype == np.float32
+                    else np.float64)
+
+
+def _lost_column(dtype: np.dtype) -> float:
+    """:data:`_LOST_COLUMN` scaled to ``dtype``: ``1e-8`` in float64,
+    about ``2.3e-4`` in float32."""
+    return _LOST_COLUMN * math.sqrt(np.finfo(dtype).eps
+                                    / np.finfo(np.float64).eps)
 
 
 def default_krylov_iterations(num_rows: int, eps: float) -> int:
@@ -91,8 +126,8 @@ def default_krylov_iterations(num_rows: int, eps: float) -> int:
     the routine stays fast on large graphs while matching the guarantee
     regime used in the paper's experiments (eps in [0.1, 0.9]).
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not eps > 0:                        # also refuses NaN
+        raise ParameterError(f"eps must be positive, got {eps!r}")
     raw = math.ceil(math.log(max(num_rows, 2)) / math.sqrt(eps) / 2.0)
     return int(min(15, max(4, raw)))
 
@@ -112,14 +147,18 @@ def _rayleigh_ritz(basis: np.ndarray, at_basis: np.ndarray, rank: int,
     ``basis`` is an orthonormal ``Q`` and ``at_basis`` is ``A^T Q``;
     ``M = Q^T A A^T Q`` is their Gram matrix, and ``V`` comes from the
     stored ``A^T Q`` as well (``sigma <= 1e-12`` columns are not scaled).
+    ``M`` is formed in the arrays' dtype and eigendecomposed in float64;
+    the triplets come back in the arrays' dtype.
     """
-    eigvals, eigvecs = np.linalg.eigh(at_basis.T @ at_basis)
+    dtype = basis.dtype
+    eigvals, eigvecs = np.linalg.eigh(
+        (at_basis.T @ at_basis).astype(np.float64, copy=False))
     order = np.argsort(eigvals)[::-1][:rank]
-    top = eigvecs[:, order]
+    top = eigvecs[:, order].astype(dtype, copy=False)
     sigma = np.sqrt(np.maximum(eigvals[order], 0.0))
-    safe = np.where(sigma > 1e-12, sigma, 1.0)
+    safe = np.where(sigma > 1e-12, sigma, 1.0).astype(dtype, copy=False)
     u, v = _fix_signs(basis @ top, (at_basis @ top) / safe)
-    return u, sigma, v
+    return u, sigma.astype(dtype, copy=False), v
 
 
 def _cholesky_qr2(block: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
@@ -134,7 +173,7 @@ def _cholesky_qr2(block: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
         factor = np.linalg.cholesky(block.T @ block)
     except np.linalg.LinAlgError:
         return None
-    if (np.diag(factor) <= _LOST_COLUMN * norms).any():
+    if (np.diag(factor) <= _lost_column(block.dtype) * norms).any():
         return None
     q = block @ np.linalg.inv(factor).T
     gram = q.T @ q
@@ -161,7 +200,7 @@ def _orthonormal_extension(block: np.ndarray, basis: np.ndarray,
         if q is not None:
             return q
         q, r = np.linalg.qr(block)
-        lost = np.abs(np.diag(r)) <= _LOST_COLUMN * norms
+        lost = np.abs(np.diag(r)) <= _lost_column(block.dtype) * norms
         if not lost.any():
             return q
         block[:, lost] = rng.standard_normal((block.shape[0], lost.sum()))
@@ -201,6 +240,9 @@ def bksvd(matrix, rank: int, *, eps: float = 0.2,
         ``matrix.T @ U == V @ diag(sigma)`` up to rounding.
     """
     n, d = matrix.shape
+    check_integers(rank=rank, max_krylov_cols=max_krylov_cols)
+    if num_iters is not None:
+        check_integers(num_iters=num_iters)
     if rank < 1 or rank > min(n, d):
         raise ParameterError(f"rank={rank} out of range for shape {(n, d)}")
     if num_iters is not None and num_iters < 0:
@@ -210,10 +252,11 @@ def bksvd(matrix, rank: int, *, eps: float = 0.2,
     if rank * (q + 1) > max_krylov_cols:
         q = max(1, max_krylov_cols // rank - 1)
 
+    dtype = _working_dtype(matrix)
     cols = min(rank * (q + 1), n, d)
-    basis = np.empty((n, cols))
-    at_basis = np.empty((d, cols))
-    block = matrix @ rng.standard_normal((d, rank))
+    basis = np.empty((n, cols), dtype)
+    at_basis = np.empty((d, cols), dtype)
+    block = matrix @ rng.standard_normal((d, rank)).astype(dtype, copy=False)
     for start in range(0, cols, rank):
         stop = min(start + rank, cols)
         basis[:, start:stop] = _orthonormal_extension(

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_integers
 from ..rng import ensure_rng
-from .bksvd import _rayleigh_ritz
+from .bksvd import _rayleigh_ritz, _working_dtype
 
 __all__ = ["randomized_svd"]
 
@@ -23,9 +23,12 @@ def randomized_svd(matrix, rank: int, *, oversample: int = 10,
 
     Cheaper than block-Krylov (one basis of ``rank + oversample`` columns)
     but with a weaker error guarantee; see Halko et al. for the analysis.
-    ``oversample`` and ``power_iters`` must be non-negative.
+    ``oversample`` and ``power_iters`` must be non-negative. Like
+    :func:`repro.linalg.bksvd`, it works in float32 for a float32
+    ``matrix`` and in float64 for any other.
     """
     n, d = matrix.shape
+    check_integers(rank=rank, oversample=oversample, power_iters=power_iters)
     if rank < 1 or rank > min(n, d):
         raise ParameterError(f"rank={rank} out of range for shape {(n, d)}")
     if oversample < 0:
@@ -35,7 +38,8 @@ def randomized_svd(matrix, rank: int, *, oversample: int = 10,
             f"power_iters must be >= 0, got {power_iters!r}")
     rng = ensure_rng(seed)
     cols = min(rank + oversample, min(n, d))
-    basis = matrix @ rng.standard_normal((d, cols))
+    basis = matrix @ rng.standard_normal((d, cols)).astype(
+        _working_dtype(matrix), copy=False)
     basis, _ = np.linalg.qr(basis)
     for _ in range(power_iters):
         basis = matrix @ (matrix.T @ basis)

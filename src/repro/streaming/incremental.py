@@ -33,6 +33,13 @@ absorb is *spectral* drift of ``A`` itself; callers monitor
 the basis was computed) and escalate to a full refit, which
 :class:`repro.streaming.StreamingUpdater` wires to
 :meth:`repro.NRP.warm_refit`'s drift threshold.
+
+The repair runs in float64. Algorithm 1 leaves a float32
+:class:`~repro.core.PPRFactorState`; its four arrays are cast once, when
+:class:`IncrementalPPR` is constructed and at :meth:`IncrementalPPR.rebase`,
+so no batch casts anything and the embeddings handed to the warm refit
+are float64. The iterates ``x1`` and ``x_iter`` are copies; the state
+object itself is never written.
 """
 
 from __future__ import annotations
@@ -103,13 +110,18 @@ class IncrementalPPR:
         self.graph = graph
         self.config = config
         self.tol = float(tol)
-        self.x1 = np.array(state.x1, dtype=np.float64, copy=True)
-        self.x_iter = np.array(state.x_iter, dtype=np.float64, copy=True)
-        self.y = state.y
-        self.v_scaled = state.v_scaled
+        self._adopt(state)
         #: arc-level deltas absorbed since the SVD basis was computed
         self.arcs_changed_since_basis = 0
         self._basis_arcs = max(1, graph.num_arcs)
+
+    def _adopt(self, state: PPRFactorState) -> None:
+        """Take ``state``'s four arrays as float64, copying the two
+        iterates that :meth:`refresh` writes."""
+        self.x1 = np.array(state.x1, dtype=np.float64)
+        self.x_iter = np.array(state.x_iter, dtype=np.float64)
+        self.y = np.asarray(state.y, dtype=np.float64)
+        self.v_scaled = np.asarray(state.v_scaled, dtype=np.float64)
 
     # ------------------------------------------------------------------
     @property
@@ -287,10 +299,7 @@ class IncrementalPPR:
             raise ParameterError(
                 f"rebase state holds {state.x1.shape[0]} rows but the "
                 f"graph has {self.graph.num_nodes} nodes")
-        self.x1 = np.array(state.x1, dtype=np.float64, copy=True)
-        self.x_iter = np.array(state.x_iter, dtype=np.float64, copy=True)
-        self.y = state.y
-        self.v_scaled = state.v_scaled
+        self._adopt(state)
         self.arcs_changed_since_basis = 0
         self._basis_arcs = max(1, self.graph.num_arcs)
 

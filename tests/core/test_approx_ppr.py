@@ -157,10 +157,11 @@ def test_config_validation():
 
 def test_propagation_is_the_textbook_recurrence(small_directed):
     """The in-place power iterations equal ``(1 - alpha) P X + X_1`` bit
-    for bit and never write into ``X_1``, which IncrementalPPR reuses."""
+    for bit, in the state's dtype, and never write into ``X_1``, which
+    IncrementalPPR reuses."""
     cfg = ApproxPPRConfig(k_prime=8, seed=0)
     state = approx_ppr_state(small_directed, cfg)
-    p = small_directed.transition_matrix()
+    p = small_directed.transition_matrix(state.x1.dtype)
     x = state.x1.copy()
     for _ in range(2, cfg.ell1 + 1):
         x = (1 - cfg.alpha) * (p @ x) + state.x1
@@ -168,6 +169,18 @@ def test_propagation_is_the_textbook_recurrence(small_directed):
     first = approx_ppr_state(small_directed,
                              ApproxPPRConfig(k_prime=8, seed=0, ell1=1))
     assert np.array_equal(state.x1, first.x1)
+
+
+@pytest.mark.parametrize("svd, dtype", [("bksvd", np.float32),
+                                        ("rsvd", np.float32),
+                                        ("exact", np.float64)])
+def test_factor_state_precision(small_directed, svd, dtype):
+    """The randomized SVDs run Algorithm 1 in float32; the exact SVD
+    stays the float64 oracle."""
+    state = approx_ppr_state(small_directed,
+                             ApproxPPRConfig(k_prime=8, svd=svd, seed=0))
+    for array in (state.x1, state.x_iter, state.y, state.v_scaled):
+        assert array.dtype == dtype
 
 
 def test_k_prime_larger_than_n_rejected(fig1):

@@ -50,6 +50,14 @@ def test_nrp_shapes_and_finiteness(small_undirected):
     assert model.node_features().shape == (n, 16)
 
 
+@pytest.mark.parametrize("method", [NRP, ApproxPPREmbedder])
+def test_public_embeddings_are_float64(small_undirected, method):
+    """Algorithm 1 runs in float32; what a fit exposes is float64."""
+    model = method(dim=16, seed=0).fit(small_undirected)
+    assert model.forward_.dtype == np.float64
+    assert model.backward_.dtype == np.float64
+
+
 def test_nrp_weights_above_floor(small_undirected):
     model = NRP(dim=16, svd="exact", seed=0).fit(small_undirected)
     n = small_undirected.num_nodes

@@ -1,6 +1,8 @@
 """Tests for Algorithms 2/4: fast aggregate formulas vs the naive Eq. (7)
 and Eq. (23) definitions, coordinate optimality, and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from repro.core import (ApproxPPRConfig, approx_ppr_embeddings,
                         naive_backward_terms, naive_forward_terms,
                         reweighting_objective, update_backward_weights,
                         update_forward_weights)
-from repro.core.reweighting import SWEEP_BLOCK
+from repro.core.reweighting import SWEEP_BLOCK, SWEEP_CHUNK
 from repro.errors import DimensionError, ParameterError
 from repro.graph import from_edges
 
@@ -314,9 +316,16 @@ ORACLE_CASES = {
                                                  0.4, 2),
     "single_node": _single_node_case,
     "many_clamped": lambda: _random_case(150, 6, 0.3, 6, scale=1.0),
+    # two chunks of the visiting order, the second ending mid-block
+    "many_clamped_chunks": lambda: _random_case(
+        SWEEP_CHUNK + 3 * SWEEP_BLOCK + 5, 6, 0.3, 7, scale=1.0),
     "zero_denominators": _zero_rows_case,
     "dangling_directed": _dangling_case,
 }
+
+
+#: the least share of nodes pinned to the floor in the clamping cases
+MIN_PINNED = {"many_clamped": 0.2, "many_clamped_chunks": 0.1}
 
 
 @pytest.mark.parametrize("exact_b1", [False, True])
@@ -330,10 +339,28 @@ def test_sweep_matches_per_node_oracle(case, exact_b1):
         got = update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, lam,
                                       exact_b1=exact_b1, seed=seed)
         np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0)
-        if case == "many_clamped":
-            assert np.mean(expect == 1.0 / n) >= 0.2
+        if case in MIN_PINNED:
+            assert np.mean(expect == 1.0 / n) >= MIN_PINNED[case]
         if case == "zero_denominators":
             assert np.all(got[::3] == 1.0 / n)
+
+
+def test_sweep_working_set_is_bounded_by_the_chunk():
+    """The sweep precomputes its per-node terms one chunk of the visiting
+    order at a time, so its temporaries are O(SWEEP_CHUNK k'), not
+    O(n k'): at n = 20,000 and k' = 32 the tracemalloc peak of a sweep
+    stays below two n x k' float64 arrays; precomputing the whole order
+    at once peaks near eight. Large temporaries freed every sweep are
+    what the allocator hands back to the OS and faults in again."""
+    x, y, w_fwd, w_bwd, d_out, d_in, lam = _random_case(20_000, 32, 10.0, 8)
+    tracemalloc.start()
+    try:
+        update_backward_weights(x, y, w_fwd, w_bwd, d_out, d_in, lam,
+                                seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
 
 
 def test_forward_sweep_first_node_matches_naive_formula(random_embeddings):

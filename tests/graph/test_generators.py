@@ -1,5 +1,7 @@
 """Tests for the synthetic graph generators, incl. hypothesis properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.graph import (barabasi_albert, chung_lu, erdos_renyi,
-                         powerlaw_community, powerlaw_weights, rmat, sbm,
-                         watts_strogatz)
+                         link_prediction_split, powerlaw_community,
+                         powerlaw_weights, rmat, sbm, watts_strogatz)
+from repro.graph.generators import _PairSampler
 
 
 def test_erdos_renyi_exact_edge_count():
@@ -138,3 +141,61 @@ def test_rmat_size_and_skew():
 def test_rmat_rejects_bad_probs():
     with pytest.raises(ParameterError):
         rmat(5, 10, a=0.5, b=0.4, c=0.3)
+
+
+def _first_distinct_pairs(src, dst, directed):
+    """Oracle: self loops dropped, then the first occurrence of every
+    (for undirected graphs unordered) pair, in draw order."""
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    _, idx = np.unique(src * 1000 + dst, return_index=True)
+    idx.sort()
+    return src[idx], dst[idx]
+
+
+@given(st.integers(2, 30), st.lists(st.integers(0, 200), min_size=1,
+                                    max_size=4),
+       st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_pair_sampler_keeps_first_distinct_pairs(n, sizes, directed, seed):
+    """Draw by draw, the sampler keeps what deduplicating all the draws
+    at once keeps, in the same order."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.integers(0, n, size), rng.integers(0, n, size))
+             for size in sizes]
+    pairs = _PairSampler(n, directed)
+    for src, dst in draws:
+        pairs.add(src, dst)
+    want_src, want_dst = _first_distinct_pairs(
+        np.concatenate([s for s, _ in draws]),
+        np.concatenate([d for _, d in draws]), directed)
+    np.testing.assert_array_equal(np.concatenate(pairs.src), want_src)
+    np.testing.assert_array_equal(np.concatenate(pairs.dst), want_dst)
+    assert pairs.count == len(want_src)
+    assert np.array_equal(pairs.keys, np.sort(want_src * n + want_dst))
+
+
+def _digest(*arrays):
+    data = np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays])
+    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
+
+
+def test_generated_graphs_and_splits_are_pinned():
+    """SHA-256 prefixes of small graphs and link-prediction splits, as
+    the dedup by ``np.unique`` and ``np.union1d`` produced them: the
+    sorted-key sampling draws the same graphs and the same splits."""
+    g, _ = powerlaw_community(600, 6000, num_communities=1, seed=0)
+    split = link_prediction_split(g, seed=1)
+    assert _digest(g.indptr, g.indices) == "f6f56e74bd6f06cc"
+    assert _digest(split.train_graph.indices, split.pos_src, split.pos_dst,
+                   split.neg_src, split.neg_dst) == "84cffb98afb56054"
+    g, community = powerlaw_community(800, 4000, num_communities=8,
+                                      directed=True, seed=2)
+    split = link_prediction_split(g, seed=3)
+    assert _digest(g.indptr, g.indices, community) == "e05ceee48ffbe3ab"
+    assert _digest(split.train_graph.indices, split.pos_src, split.pos_dst,
+                   split.neg_src, split.neg_dst) == "bf1432d0895f7604"
+    g = erdos_renyi(300, 3000, seed=4)
+    assert _digest(g.indptr, g.indices) == "321e52058e54b8ed"

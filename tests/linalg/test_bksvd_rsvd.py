@@ -137,6 +137,49 @@ def test_bksvd_exhausted_krylov_space(case):
                                atol=1e-12 * s_exact[0])
 
 
+@pytest.mark.parametrize("case", sorted(EXHAUSTED_KRYLOV))
+def test_bksvd_exhausted_krylov_space_float32(case):
+    """The cases above in float32, with tolerances written in float32's
+    machine epsilon: the lost-column threshold scales with the dtype, so
+    the basis still stays orthonormal and the SVD exact."""
+    build, k = EXHAUSTED_KRYLOV[case]
+    mat = build().astype(np.float32)
+    dense = (mat.toarray() if sp.issparse(mat) else mat).astype(np.float64)
+    u, s, v = bksvd(mat, k, seed=0)
+    assert u.dtype == s.dtype == v.dtype == np.float32
+    eps = float(np.finfo(np.float32).eps)
+    u, s, v = (a.astype(np.float64) for a in (u, s, v))
+    s_exact = np.linalg.svd(dense, compute_uv=False)
+    np.testing.assert_allclose(u.T @ u, np.eye(k), rtol=0, atol=200 * eps)
+    np.testing.assert_allclose(s, s_exact[:k], rtol=0,
+                               atol=np.sqrt(eps) * s_exact[0])
+    np.testing.assert_allclose(dense.T @ u, v * s, rtol=0,
+                               atol=200 * eps * s_exact[0])
+
+
+DTYPE_POLICY = {"float32": (np.float32, np.float32),
+                "float64": (np.float64, np.float64),
+                "int64": (np.int64, np.float64),
+                "bool": (np.bool_, np.float64)}
+
+
+@pytest.mark.parametrize("svd", [bksvd, randomized_svd],
+                         ids=["bksvd", "rsvd"])
+@pytest.mark.parametrize("name", sorted(DTYPE_POLICY))
+def test_svd_works_in_its_input_dtype(svd, name):
+    """float32 stays float32; every other input runs in float64 and
+    gives what its float64 copy gives."""
+    dtype, expect = DTYPE_POLICY[name]
+    adjacency = _community_adjacency(False)
+    for mat in (adjacency, adjacency.toarray()):
+        u, s, v = svd(mat.astype(dtype), 8, seed=3)
+        assert u.dtype == s.dtype == v.dtype == expect
+        if expect == np.float64:
+            reference = svd(mat.astype(np.float64), 8, seed=3)
+            for got, want in zip((u, s, v), reference):
+                np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("directed", [False, True],
                          ids=["undirected", "directed"])
 def test_bksvd_orthonormalizes_graph_blocks_without_householder(
@@ -201,6 +244,17 @@ def test_bksvd_rejects_bad_rank():
         bksvd(mat, 2, num_iters=-3)
 
 
+@pytest.mark.parametrize("bad", [
+    {"rank": 3.0}, {"num_iters": 2.5}, {"max_krylov_cols": 64.0},
+    {"eps": float("nan")}, {"eps": 0.0}, {"eps": -0.2}])
+def test_bksvd_rejects_bad_inputs_with_parameter_error(bad):
+    """Non-integer counts and a NaN eps are ParameterErrors, not the
+    bare TypeError or ValueError of the arithmetic they would reach."""
+    args = {"rank": 3, **bad}
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        bksvd(np.eye(8), args.pop("rank"), **args)
+
+
 def test_default_krylov_iterations_monotone_in_eps():
     n = 10_000
     assert (default_krylov_iterations(n, 0.1)
@@ -237,3 +291,11 @@ def test_rsvd_rejects_bad_rank():
                 {"power_iters": -1}):
         with pytest.raises(ParameterError):
             randomized_svd(np.eye(8), 6, **bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"rank": 3.0}, {"oversample": 2.5}, {"power_iters": 1.5}])
+def test_rsvd_rejects_non_integer_counts(bad):
+    args = {"rank": 3, **bad}
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        randomized_svd(np.eye(8), args.pop("rank"), **args)

@@ -13,6 +13,7 @@ an *unchanged* basis, and (d) staleness accounting.
 import numpy as np
 import pytest
 
+from repro import NRP
 from repro.core import ApproxPPRConfig, approx_ppr_state
 from repro.errors import ParameterError, ReproError
 from repro.graph import add_arcs, from_edges, remove_arcs
@@ -174,6 +175,44 @@ def test_staleness_accounting_and_rebase(inc, base):
     inc.rebase(fresh, new_graph)
     assert inc.basis_staleness == 0.0
     np.testing.assert_array_equal(inc.x_iter, fresh.x_iter)
+
+
+def test_state_arrays_are_float64_after_construction_and_rebase(base):
+    """The float32 factor state is cast once, at construction and at
+    rebase; the repair never writes into the state it was given."""
+    cfg = ApproxPPRConfig(**CFG)
+    state = approx_ppr_state(base, cfg)
+    assert state.x1.dtype == np.float32
+    names = ("x1", "x_iter", "y", "v_scaled")
+    frozen = {name: getattr(state, name).copy() for name in names}
+    inc = IncrementalPPR(base, cfg, state=state)
+
+    def assert_adopted(source):
+        for name in names:
+            assert getattr(inc, name).dtype == np.float64, name
+            np.testing.assert_array_equal(getattr(inc, name),
+                                          getattr(source, name))
+
+    assert_adopted(state)
+    new_graph = remove_arcs(base, [0], [base.out_neighbors(0)[0]])
+    inc.refresh(new_graph)
+    for name in names:
+        np.testing.assert_array_equal(getattr(state, name), frozen[name])
+    fresh = approx_ppr_state(new_graph, cfg)
+    inc.rebase(fresh, new_graph)
+    assert_adopted(fresh)
+
+
+def test_nrp_base_factors_match_incremental_embeddings(base):
+    """A ``keep_factor_state`` fit's base X and Y are what IncrementalPPR
+    reports for the same state, bit for bit."""
+    model = NRP(dim=2 * CFG["k_prime"], ell2=1, seed=0,
+                keep_factor_state=True).fit(base)
+    inc = IncrementalPPR(base, ApproxPPRConfig(**CFG),
+                         state=model.factor_state_)
+    x, y = inc.embeddings()
+    np.testing.assert_array_equal(model.base_forward_, x)
+    np.testing.assert_array_equal(model.base_backward_, y)
 
 
 def test_tol_prunes_propagation(base):

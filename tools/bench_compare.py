@@ -86,6 +86,11 @@ SPECS: dict[str, dict] = {
         "metrics": [
             ("rows.*.default_seconds", "lower", {"rel": 0.25}),
             ("rows.*.svd_seconds", "lower", {"rel": 0.25}),
+            # tens of milliseconds, so a relative bound would judge
+            # timer noise: on a 2-vCPU VM five runs at 50k nodes read
+            # 79 to 139 ms
+            ("rows.*.propagation_seconds", "lower", {"abs": 0.05}),
+            ("rows.*.reweighting_seconds", "lower", {"rel": 0.25}),
         ],
     },
 }
